@@ -99,7 +99,8 @@
 // the paper's "one configuration does not fit all scenes" point.
 //
 // With -campaign-checkpoint the artifacts persist: one versioned JSON
-// file per cell per stage (campaign.Store), named by the stage kind,
+// file per cell per stage (campaign.Store — a JSON envelope codec over
+// the internal/sharedfs compute-once store), named by the stage kind,
 // the grid index and a content hash of the cell spec + seed + the
 // options that determine the artifact's bytes. A killed campaign
 // rerun with -campaign-resume loads completed cells instead of
@@ -120,17 +121,19 @@
 // machines over a shared filesystem) pointing at one
 // -campaign-checkpoint directory execute a single campaign's grid
 // cooperatively: a worker claims a cell by atomically creating the
-// artifact's .lease sibling (O_CREATE|O_EXCL, carrying its id and a
-// heartbeat it renews while computing), peers waiting on a claimed
-// cell poll with deterministic backoff until the artifact appears, and
-// a lease whose heartbeat exceeds -campaign-lease-ttl is reclaimed —
-// so any worker can be SIGKILLed at any instant without losing the
-// campaign. Leases are a work-distribution optimisation, never a
+// artifact's .lease sibling with its content in place (the record —
+// its id and a heartbeat it renews while computing — is written to a
+// temp file and hard-linked to the lease name), loads the artifact once
+// more in case a peer published it between the miss and the claim,
+// peers waiting on a claimed cell poll with deterministic backoff until
+// the artifact appears, and a lease whose heartbeat exceeds
+// -campaign-lease-ttl is reclaimed — so any worker can be SIGKILLed at
+// any instant without losing the campaign. Leases are a work-distribution optimisation, never a
 // correctness mechanism: artifact names are content hashes, every
 // writer of a name produces identical bytes, and writes are atomic
 // (temp file + rename), so a takeover racing a slow-but-alive holder
-// just computes the cell twice and the last rename wins. Store I/O is
-// wrapped in bounded retry-with-backoff (transient ENOSPC/EIO cost
+// just computes the cell twice and the last rename wins. Store I/O
+// rides bounded retry-with-backoff (transient ENOSPC/EIO cost
 // milliseconds, not a crash), a Load distinguishes a miss — absent,
 // torn or corrupt artifact, safe to recompute — from a real I/O fault
 // that must surface, and a cell whose exploration panics is
@@ -182,11 +185,14 @@
 // deduplicates renders in-process (cells sharing a scenario share one
 // immutable in-memory sequence). -campaign-seq-cache-max-mb bounds the
 // store with deterministic lexicographic eviction. Stale temp files
-// and orphaned leases are swept on open (sharedfs.SweepDebris, shared
-// with the checkpoint store). `make campaign-cache-smoke` enforces the
-// end-to-end claim in CI: two processes share checkpoint + cache, one
-// is SIGKILLed and one artifact is corrupted in place mid-run, and the
-// survivor's report must still diff clean against an uncached run.
+// and orphaned leases are swept on open. The cache, the evaluation
+// store and the checkpoint store are three codecs over one sharedfs
+// compute-once store, so their load, lease, retry, fault-injection,
+// sweep and eviction behaviour is one implementation.
+// `make campaign-cache-smoke` enforces the end-to-end claim in CI: two
+// processes share checkpoint + cache, one is SIGKILLed and one artifact
+// is corrupted in place mid-run, and the survivor's report must still
+// diff clean against an uncached run.
 //
 // -campaign-cell-stride adds cell-level multi-fidelity, the intra-cell
 // ladder replayed at grid granularity: Explore first screens every
@@ -315,9 +321,10 @@
 // every campaign through the same staged runner as the CLI, with all
 // jobs sharing one evalstore and one seqcache under the server's data
 // directory — concurrent tenants never re-simulate or re-render each
-// other's work — while each job checkpoints into its own
-// campaign.Store using the worker-lease protocol. Campaign progress
-// flows out through campaign.Options.OnProgress (stage and cell
+// other's work — while each job checkpoints into its own checkpoint
+// directory as a cooperative worker ("dseserve"), under the same
+// worker-lease protocol as the CLI. Campaign progress flows out
+// through campaign.Options.OnProgress (stage and cell
 // events emitted by the staged runner) and cancellation flows in
 // through Options.Cancel: a closed channel stops the campaign at the
 // next stage or cell boundary with ErrCanceled, after in-flight cells

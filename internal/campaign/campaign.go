@@ -53,6 +53,7 @@ import (
 	"slamgo/internal/kfusion"
 	"slamgo/internal/phones"
 	"slamgo/internal/seqcache"
+	"slamgo/internal/sharedfs"
 	"slamgo/internal/slambench"
 )
 
@@ -245,9 +246,9 @@ type Options struct {
 	// WorkerID, when non-empty, runs this process as one cooperating
 	// worker of a multi-process campaign: cells are claimed through
 	// .lease files in CheckpointDir (atomic create, heartbeat renewal,
-	// TTL expiry — see lease.go), so N workers sharing the directory
-	// split the grid dynamically and any worker can be SIGKILLed
-	// without losing the campaign. Requires CheckpointDir; implies
+	// TTL expiry — see internal/sharedfs), so N workers sharing the
+	// directory split the grid dynamically and any worker can be
+	// SIGKILLed without losing the campaign. Requires CheckpointDir; implies
 	// Resume (a worker must load cells its peers completed). Every
 	// worker that runs to completion renders the identical report.
 	WorkerID string
@@ -330,18 +331,15 @@ type Options struct {
 	// class — the hook resume tests use to prove checkpointed cells are
 	// never re-simulated. Memo hits and checkpoint loads never fire it.
 	observeSimulation func(cell int, class string)
-	// wrapStore, when non-nil, wraps the opened checkpoint store before
-	// the retry layer — the seam the fault-injection tests use to put a
-	// FaultStore under the campaign.
-	wrapStore func(*Store) ArtifactStore
-	// cacheFaults, when non-nil, arms the sequence cache's fault plan —
-	// the seam the cache crash-safety tests use.
-	cacheFaults *seqcache.FaultPlan
-	// evalFaults, when non-nil, arms the evaluation store's fault plan —
-	// the seam its crash-safety tests use.
-	evalFaults *evalstore.FaultPlan
-	// sleepFn and nowFn override time.Sleep / time.Now in the retry,
-	// poll and lease layers (tests only; results never depend on them).
+	// onStore, when non-nil, receives the opened checkpoint store — the
+	// seam the crash-safety tests use to arm and inspect its fault plan.
+	onStore func(*Store)
+	// cacheFaults and evalFaults, when non-nil, arm the fault plans of
+	// the sequence cache and the evaluation store.
+	cacheFaults, evalFaults *sharedfs.FaultPlan
+	// sleepFn and nowFn, when non-nil, override time.Sleep / time.Now in
+	// the retry, poll and lease layers (tests only; results never depend
+	// on them).
 	sleepFn func(time.Duration)
 	nowFn   func() time.Time
 }
@@ -376,15 +374,6 @@ func (o *Options) applyDefaults() {
 		// A cooperating worker must consume what its peers completed;
 		// worker mode is resume mode by definition.
 		o.Resume = true
-		if o.LeaseTTL <= 0 {
-			o.LeaseTTL = 10 * time.Second
-		}
-	}
-	if o.sleepFn == nil {
-		o.sleepFn = time.Sleep
-	}
-	if o.nowFn == nil {
-		o.nowFn = time.Now
 	}
 }
 

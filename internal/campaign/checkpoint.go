@@ -4,80 +4,55 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"slamgo/internal/sharedfs"
 )
 
-// The checkpoint store persists one JSON file per stage artifact so a
-// killed campaign restarts from completed cells instead of from
-// scratch. Artifact names embed a content hash of everything that
-// determines the artifact's bytes (cell spec, derived seed, the
-// relevant exploration options — see runner.artifactName), so a
-// changed option simply misses the stale file and re-runs the work; a
+// The checkpoint store persists one JSON file per stage artifact,
+// `<name>.json`, so a killed campaign restarts from completed cells
+// instead of from scratch. Artifact names embed a content hash of
+// everything that determines the artifact's bytes (cell spec, derived
+// seed, the relevant exploration options — see runner.artifactName), so
+// a changed option simply misses the stale file and re-runs the work; a
 // version field in the envelope invalidates artifacts across format
-// changes the same way. Writes are atomic (a uniquely named temp file
-// + rename, so two processes saving the same artifact never trample
-// each other's half-written bytes), and Load treats every data defect
-// — absent file, version or name mismatch, truncated or corrupt JSON —
-// as a miss rather than an error, because re-running a stage is always
-// safe while trusting a damaged artifact never is. Real I/O faults
-// (permission denied, an unreadable path) are reported as errors so
-// callers retry instead of silently re-simulating forever.
+// changes the same way.
 //
-// The store doubles as the coordination substrate for multi-process
-// campaigns: every writer of a given artifact name produces identical
-// bytes (artifacts are pure functions of their content-hashed key), so
-// concurrent writers are safe — the last complete rename wins and the
-// winner is indistinguishable from the loser. Work distribution on top
-// of that uses sibling .lease files (see lease.go).
+// The store is this envelope codec over the sharedfs compute-once
+// Store, whose package comment describes the ladder, the crash-safety
+// contract and the worker-lease protocol that lets N cooperating
+// processes split a campaign's cells. Unlike the caches, the campaign
+// runs the store without the Inline policy: a real I/O fault (permission
+// denied, an unreadable path, a full disk after retries) is returned as
+// an error, because the work is not lost — the store is unreachable —
+// and silently re-simulating over a faulting store would discard it.
 
 // storeVersion is the checkpoint format version; bumping it orphans
 // every existing artifact (they are treated as misses, never misread).
 const storeVersion = 1
 
-// ArtifactStore is the store surface the campaign runner depends on.
-// *Store is the real directory-backed implementation; RetryStore adds
-// bounded retry-with-backoff around transient faults, and FaultStore
-// injects faults for the crash-safety tests.
-type ArtifactStore interface {
-	// Save atomically persists payload under name.
-	Save(name string, payload any) error
-	// Load reads the artifact saved under name into out. The boolean
-	// reports a hit; (false, nil) is a miss (no such file, version or
-	// name mismatch, corrupt contents) that re-running the stage
-	// repairs, while a non-nil error is a real I/O fault that retrying
-	// — not re-simulating — should handle.
-	Load(name string, out any) (bool, error)
-	// List returns the names of every artifact in the store, sorted.
-	List() ([]string, error)
-}
-
 // Store is a directory of versioned campaign stage artifacts.
 type Store struct {
-	dir string
+	*sharedfs.Store
 }
 
-// OpenStore opens (creating if needed) a checkpoint directory, and
-// garbage-collects the debris SIGKILLed processes leave behind: stale
-// ".tmp-*" files from writes that never reached their rename and
-// orphaned ".lease" files whose holder died (both judged against
-// sharedfs.DefaultDebrisAge, conservatively old so live writers and
-// heartbeating holders are never mistaken for litter). The sweep is
-// best-effort hygiene — valid artifacts are never touched, and a sweep
-// failure never fails the open.
+// OpenStore opens (creating if needed) a checkpoint directory, sweeping
+// the debris SIGKILLed processes leave behind (see sharedfs.SweepDebris).
 func OpenStore(dir string) (*Store, error) {
-	if dir == "" {
+	return openStore(sharedfs.Config{Dir: dir})
+}
+
+// openStore opens the checkpoint store with the runner's lease, clock
+// and cancellation plumbing in cfg.
+func openStore(cfg sharedfs.Config) (*Store, error) {
+	if cfg.Dir == "" {
 		return nil, errors.New("campaign: empty checkpoint directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	cfg.Label, cfg.Ext = "campaign", ".json"
+	s, err := sharedfs.Open(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint directory: %w", err)
 	}
-	sharedfs.SweepDebris(dir, sharedfs.DefaultDebrisAge, nil)
-	return &Store{dir: dir}, nil
+	return &Store{s}, nil
 }
 
 // envelope wraps every artifact with its format version and its own
@@ -89,75 +64,85 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-func (s *Store) path(name string) string {
-	return filepath.Join(s.dir, name+".json")
-}
-
-// Dir returns the store's directory (lease files live next to the
-// artifacts, and the fault harness damages files in place).
-func (s *Store) Dir() string { return s.dir }
-
-// Save atomically persists payload under name, replacing any previous
-// artifact of that name (sharedfs.WriteFileAtomic: uniquely named temp
-// file, fsync, rename — so concurrent writers, other goroutines or
-// other processes sharing the directory, cannot clobber each other's
-// half-written bytes; whichever rename lands last wins whole, and
-// failed saves remove their temp file instead of leaking it). The
-// ".tmp-" prefix keeps in-flight files out of List (no ".json" suffix)
-// and visually separate from artifacts.
-func (s *Store) Save(name string, payload any) error {
+// encodeArtifact wraps payload in name's envelope.
+func encodeArtifact(name string, payload any) ([]byte, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
-		return fmt.Errorf("campaign: encoding artifact %s: %w", name, err)
+		return nil, fmt.Errorf("campaign: encoding artifact %s: %w", name, err)
 	}
-	data, err := json.Marshal(envelope{Version: storeVersion, Name: name, Payload: raw})
+	return json.Marshal(envelope{Version: storeVersion, Name: name, Payload: raw})
+}
+
+// decodeArtifact unwraps name's envelope into out. Every data defect —
+// truncated or corrupt JSON, a version or name mismatch — is an error
+// the store treats as a miss, because re-running the stage is always
+// safe while trusting a damaged artifact never is.
+func decodeArtifact(name string, data []byte, out any) error {
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return err
+	}
+	if env.Version != storeVersion || env.Name != name {
+		return fmt.Errorf("artifact is %s v%d, want %s v%d", env.Name, env.Version, name, storeVersion)
+	}
+	return json.Unmarshal(env.Payload, out)
+}
+
+// Save atomically persists payload under name, replacing any previous
+// artifact of that name.
+func (s *Store) Save(name string, payload any) error {
+	data, err := encodeArtifact(name, payload)
 	if err != nil {
 		return err
 	}
-	if err := sharedfs.WriteFileAtomic(s.dir, s.path(name), name, data); err != nil {
-		return fmt.Errorf("campaign: artifact %s: %w", name, err)
-	}
-	return nil
+	return s.Put(name, data)
 }
 
 // Load reads the artifact saved under name into out. The boolean
-// reports a hit. Every data defect — no such file, a version or name
-// mismatch, truncated or corrupt contents — is a miss (false, nil),
-// because re-running the stage is always safe while trusting a damaged
-// artifact never is. A non-nil error is a real I/O fault (permission
-// denied, an unreadable path): the work is not lost, the store is
-// unreachable, so callers should retry rather than re-simulate.
+// reports a hit; (false, nil) is a miss (no such file, or a data defect)
+// that re-running the stage repairs, while a non-nil error is a real I/O
+// fault.
 func (s *Store) Load(name string, out any) (bool, error) {
-	data, err := os.ReadFile(s.path(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("campaign: artifact %s: %w", name, err)
-	}
-	var env envelope
-	if json.Unmarshal(data, &env) != nil {
-		return false, nil
-	}
-	if env.Version != storeVersion || env.Name != name {
-		return false, nil
-	}
-	return json.Unmarshal(env.Payload, out) == nil, nil
+	return s.Store.Load(name, func(data []byte) error { return decodeArtifact(name, data, out) })
 }
 
-// List returns the names of every artifact in the store, sorted.
-func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+// checkpointed resolves a stage artifact through the checkpoint store:
+// loaded when resuming and a peer or earlier run published one that
+// valid accepts, otherwise computed here and published — under the
+// artifact's lease in cooperative worker mode. Without a store it just
+// computes. A cancellation request is honoured before any computation
+// (and on every poll turn), so a canceled campaign stops at cell
+// granularity: in-flight cells finish and checkpoint, waiting ones
+// never start.
+func checkpointed[T any](r *runner, name string, valid func(T) bool, compute func() (T, error)) (v T, resumed bool, err error) {
+	switch {
+	case r.canceled():
+		return v, false, ErrCanceled
+	case r.store == nil:
+		v, err = compute()
+		return v, false, err
+	case !r.opts.Resume:
+		if v, err = compute(); err == nil {
+			err = r.store.Save(name, v)
 		}
-		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
+		return v, false, err
 	}
-	sort.Strings(names)
-	return names, nil
+	out, err := r.store.Get(name, func(data []byte) error {
+		var got T
+		if err := decodeArtifact(name, data, &got); err != nil {
+			return err
+		}
+		if !valid(got) {
+			return errors.New("artifact does not match this stage")
+		}
+		v = got
+		return nil
+	}, func() ([]byte, error) {
+		var err error
+		if v, err = compute(); err != nil {
+			return nil, err
+		}
+		return encodeArtifact(name, v)
+	})
+	return v, out == sharedfs.Hit, err
 }

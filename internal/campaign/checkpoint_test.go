@@ -53,13 +53,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("artifact did not round-trip:\n%s\n%s", a, b)
 	}
-	names, err := store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "full-c000-abc" {
-		t.Fatalf("List = %v", names)
-	}
 }
 
 // TestStoreMisses proves every data-defect shape is a miss (false, nil)

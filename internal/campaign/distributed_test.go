@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
 // simClasses is the full set of simulation classes the hooks count.
@@ -99,7 +101,7 @@ func TestDeadWorkerTakeover(t *testing.T) {
 	}
 	name0 := r.artifactName(r.cells[0], FidelityScreen)
 	past := func() time.Time { return time.Now().Add(-time.Hour) }
-	if _, ok, err := NewLeaseManager(dir, "dead", time.Second, past).TryAcquire(name0); err != nil || !ok {
+	if _, ok, err := sharedfs.NewLeaseManager(dir, "dead", time.Second, past).TryAcquire(name0); err != nil || !ok {
 		t.Fatalf("staging dead worker's lease: ok=%v err=%v", ok, err)
 	}
 
@@ -150,7 +152,7 @@ func TestWorkerLoadsPeerResult(t *testing.T) {
 	}
 	name0 := r.artifactName(r.cells[0], FidelityScreen)
 	// A live peer holds cell 0 (fresh heartbeat, long TTL)…
-	if _, ok, err := NewLeaseManager(dir, "peer", time.Minute, nil).TryAcquire(name0); err != nil || !ok {
+	if _, ok, err := sharedfs.NewLeaseManager(dir, "peer", time.Minute, nil).TryAcquire(name0); err != nil || !ok {
 		t.Fatalf("staging peer lease: ok=%v err=%v", ok, err)
 	}
 	// …and publishes its artifact shortly after the worker starts

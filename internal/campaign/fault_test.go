@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
 // noTempFiles fails the test when the store directory holds leftover
@@ -34,18 +36,18 @@ func TestFaultInjectedStoreByteIdentical(t *testing.T) {
 	_, refBytes, _ := referenceRun(t)
 
 	dir := t.TempDir()
-	var fs *FaultStore
+	var fs *Store
 	opts := resumeOptions(1, dir)
 	opts.Resume = true
-	opts.wrapStore = func(s *Store) ArtifactStore {
-		fs = NewFaultStore(s, FaultPlan{
+	opts.onStore = func(s *Store) {
+		fs = s
+		s.InjectFaults(sharedfs.FaultPlan{
 			// Save op 1 dies before writing; its retry is op 2. Save op 3
 			// tears the published artifact in half; its retry rewrites it.
-			Save: map[int]FaultKind{1: FaultWriteError, 3: FaultShortWrite},
+			Save: map[int]sharedfs.FaultKind{1: sharedfs.FaultWriteError, 3: sharedfs.FaultShortWrite},
 			// Load op 0 throws EIO; its retry is op 1.
-			Load: map[int]FaultKind{0: FaultReadError},
+			Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultReadError},
 		})
-		return fs
 	}
 	opts.sleepFn = func(time.Duration) {} // recorded schedule, no real waits
 	res, err := Run(opts)
@@ -73,16 +75,16 @@ func TestCorruptArtifactRecomputed(t *testing.T) {
 	}
 	firstBytes := renderReport(t, first)
 
-	var fs *FaultStore
+	var fs *Store
 	var sims simCounter
 	opts := resumeOptions(1, dir)
 	opts.Resume = true
 	opts.observeSimulation = sims.hook
-	opts.wrapStore = func(s *Store) ArtifactStore {
+	opts.onStore = func(s *Store) {
 		// Load op 0 is the first cell's screening artifact: rot its bytes
 		// on disk before the store reads them.
-		fs = NewFaultStore(s, FaultPlan{Load: map[int]FaultKind{0: FaultCorruptRead}})
-		return fs
+		fs = s
+		s.InjectFaults(sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultCorruptRead}})
 	}
 	again, err := Run(opts)
 	if err != nil {

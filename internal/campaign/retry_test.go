@@ -2,106 +2,89 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
+	"syscall"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
-// scriptedStore is an ArtifactStore whose per-call outcomes are
-// scripted, for exercising the retry loop without a filesystem.
-type scriptedStore struct {
-	saveErrs  []error // consumed one per Save call; nil entries succeed
-	loadErrs  []error
-	loadOK    bool
-	saveCalls int
-	loadCalls int
-}
-
-func take(errs []error, call int) error {
-	if call < len(errs) {
-		return errs[call]
-	}
-	return nil
-}
-
-func (s *scriptedStore) Save(string, any) error {
-	err := take(s.saveErrs, s.saveCalls)
-	s.saveCalls++
-	return err
-}
-
-func (s *scriptedStore) Load(string, any) (bool, error) {
-	err := take(s.loadErrs, s.loadCalls)
-	s.loadCalls++
+// openRecordedStore opens a checkpoint store whose retry backoff is
+// recorded into slept instead of slept through.
+func openRecordedStore(t *testing.T, slept *[]time.Duration) *Store {
+	t.Helper()
+	s, err := openStore(sharedfs.Config{
+		Dir:   t.TempDir(),
+		Sleep: func(d time.Duration) { *slept = append(*slept, d) },
+	})
 	if err != nil {
-		return false, err
+		t.Fatal(err)
 	}
-	return s.loadOK, nil
+	return s
 }
 
-func (s *scriptedStore) List() ([]string, error) { return nil, nil }
-
-// sleepRecorder captures the backoff schedule instead of sleeping.
-func sleepRecorder(slept *[]time.Duration) func(time.Duration) {
-	return func(d time.Duration) { *slept = append(*slept, d) }
+// everyAttempt schedules kind on each of the policy's attempts.
+func everyAttempt(kind sharedfs.FaultKind) map[int]sharedfs.FaultKind {
+	plan := map[int]sharedfs.FaultKind{}
+	for i := 0; i < sharedfs.DefaultRetryPolicy().Attempts; i++ {
+		plan[i] = kind
+	}
+	return plan
 }
 
-func TestRetryStoreRecoversTransientFault(t *testing.T) {
-	boom := errors.New("enospc")
-	inner := &scriptedStore{saveErrs: []error{boom}}
+// TestRetryPolicyDelayCaps drives the checkpoint store's save ladder to
+// exhaustion: no backoff may exceed the policy cap, the last one sits on
+// it, and the policy's delay stays capped (never negative) for attempt
+// counts whose shift overflows.
+func TestRetryPolicyDelayCaps(t *testing.T) {
 	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	if err := rs.Save("x", nil); err != nil {
-		t.Fatalf("Save after transient fault: %v", err)
+	s := openRecordedStore(t, &slept)
+	s.InjectFaults(sharedfs.FaultPlan{Save: everyAttempt(sharedfs.FaultWriteError)})
+	if err := s.Save("x", 1); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Save = %v, want wrapped ENOSPC", err)
 	}
-	if inner.saveCalls != 2 {
-		t.Fatalf("saveCalls = %d, want 2", inner.saveCalls)
+	p := sharedfs.DefaultRetryPolicy()
+	if len(slept) == 0 {
+		t.Fatal("exhausted save never backed off")
 	}
-	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
-		t.Fatalf("backoff = %v, want [10ms]", slept)
-	}
-}
-
-func TestRetryStoreExhaustsDeterministically(t *testing.T) {
-	boom := errors.New("eio")
-	inner := &scriptedStore{loadErrs: []error{boom, boom, boom, boom, boom, boom}}
-	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	if _, err := rs.Load("x", nil); !errors.Is(err, boom) {
-		t.Fatalf("Load = %v, want wrapped eio", err)
-	}
-	if inner.loadCalls != 5 {
-		t.Fatalf("loadCalls = %d, want 5 (policy attempts)", inner.loadCalls)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("backoff = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff = %v, want %v (the deterministic ladder)", slept, want)
+	for _, d := range slept {
+		if d > p.MaxDelay {
+			t.Fatalf("backoff = %v, exceeds cap %v", slept, p.MaxDelay)
 		}
 	}
-}
-
-func TestRetryStoreNeverRetriesMiss(t *testing.T) {
-	inner := &scriptedStore{loadOK: false}
-	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	ok, err := rs.Load("absent", nil)
-	if ok || err != nil {
-		t.Fatalf("Load = %v, %v; want clean miss", ok, err)
+	if last := slept[len(slept)-1]; last != p.MaxDelay {
+		t.Fatalf("last backoff = %v, want cap %v", last, p.MaxDelay)
 	}
-	if inner.loadCalls != 1 || len(slept) != 0 {
-		t.Fatalf("miss retried: %d calls, backoff %v", inner.loadCalls, slept)
-	}
-}
-
-func TestRetryPolicyDelayCaps(t *testing.T) {
-	p := DefaultRetryPolicy()
 	if d := p.Delay(10); d != p.MaxDelay {
 		t.Fatalf("Delay(10) = %v, want cap %v", d, p.MaxDelay)
 	}
 	if d := p.Delay(63); d != p.MaxDelay { // shift overflow must not go negative
 		t.Fatalf("Delay(63) = %v, want cap %v", d, p.MaxDelay)
+	}
+}
+
+// TestRetryStoreExhaustsDeterministically fails every load attempt of a
+// published checkpoint artifact: the store must try exactly the policy's
+// attempts, back off on the fixed 10/20/40/80ms ladder, and return an
+// error wrapping the cause rather than a miss.
+func TestRetryStoreExhaustsDeterministically(t *testing.T) {
+	var slept []time.Duration
+	s := openRecordedStore(t, &slept)
+	if err := s.Save("x", 1); err != nil {
+		t.Fatal(err)
+	}
+	s.InjectFaults(sharedfs.FaultPlan{Load: everyAttempt(sharedfs.FaultReadError)})
+	var got int
+	ok, err := s.Load("x", &got)
+	if ok || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Load = %v, %v; want wrapped EIO", ok, err)
+	}
+	if n := s.Injected(); n != 5 {
+		t.Fatalf("load attempts = %d, want 5 (policy attempts)", n)
+	}
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
+	if fmt.Sprint(slept) != fmt.Sprint(want) {
+		t.Fatalf("backoff = %v, want %v (the deterministic ladder)", slept, want)
 	}
 }

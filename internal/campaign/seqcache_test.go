@@ -141,11 +141,13 @@ func TestSeqCacheFaultMatrix(t *testing.T) {
 		if _, err := Run(warm); err != nil {
 			t.Fatal(err)
 		}
-		// Single worker: one load op per distinct scenario; corrupt both.
+		// Single worker: each miss costs two load ops (the lookup, then
+		// the re-check after acquiring the lease), so ops 0 and 2 are the
+		// first loads of the two distinct scenarios; corrupt both.
 		opts := resumeOptions(1, "")
 		opts.SeqCacheDir = dir
-		opts.cacheFaults = &seqcache.FaultPlan{Load: map[int]seqcache.FaultKind{
-			0: seqcache.FaultCorruptRead, 1: seqcache.FaultCorruptRead,
+		opts.cacheFaults = &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{
+			0: sharedfs.FaultCorruptRead, 2: sharedfs.FaultCorruptRead,
 		}}
 		res, err := Run(opts)
 		if err != nil {
@@ -173,9 +175,9 @@ func TestSeqCacheFaultMatrix(t *testing.T) {
 
 	t.Run("ENOSPC on save degrades to inline rendering", func(t *testing.T) {
 		dir := t.TempDir()
-		plan := &seqcache.FaultPlan{Save: map[int]seqcache.FaultKind{}}
+		plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{}}
 		for i := 0; i < 16; i++ { // every retry attempt of both saves
-			plan.Save[i] = seqcache.FaultWriteError
+			plan.Save[i] = sharedfs.FaultWriteError
 		}
 		opts := resumeOptions(1, "")
 		opts.SeqCacheDir = dir

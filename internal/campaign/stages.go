@@ -156,12 +156,11 @@ type cellOutcome struct {
 
 // runner holds the state a campaign threads through its stages.
 type runner struct {
-	opts   Options
-	space  *hypermapper.Space
-	cells  []Cell
-	store  ArtifactStore // retry-wrapped (and fault-wrapped in tests)
-	leases *LeaseManager // non-nil only in cooperative worker mode
-	logf   func(format string, args ...any)
+	opts  Options
+	space *hypermapper.Space
+	cells []Cell
+	store *Store // nil without CheckpointDir
+	logf  func(format string, args ...any)
 
 	anchors []int   // transfer mode: grid-diagonal anchor cells
 	donors  [][]int // transfer mode: per-cell donor indices (nil = explores from scratch)
@@ -215,21 +214,27 @@ func newRunner(opts Options) (*runner, error) {
 		}
 	}
 	if opts.CheckpointDir != "" {
-		store, err := OpenStore(opts.CheckpointDir)
+		// In cooperative worker mode (WorkerID) every stage artifact is
+		// computed under its lease; a worker waiting on a live peer polls
+		// until the artifact appears or the peer's lease expires, and a
+		// cancellation request is honoured on every poll turn.
+		store, err := openStore(sharedfs.Config{
+			Dir: opts.CheckpointDir, Worker: opts.WorkerID, LeaseTTL: opts.LeaseTTL,
+			Wait: func() error {
+				if r.canceled() {
+					return ErrCanceled
+				}
+				return nil
+			},
+			Log: r.logf, Sleep: opts.sleepFn, Now: opts.nowFn,
+		})
 		if err != nil {
 			return nil, err
 		}
-		var inner ArtifactStore = store
-		if opts.wrapStore != nil {
-			inner = opts.wrapStore(store)
+		if opts.onStore != nil {
+			opts.onStore(store)
 		}
-		// Bounded retry-with-backoff around every store operation:
-		// transient I/O faults (full disk, blinking NFS) cost
-		// milliseconds, not a crash or a re-simulation.
-		r.store = NewRetryStore(inner, DefaultRetryPolicy(), opts.sleepFn)
-		if opts.WorkerID != "" {
-			r.leases = NewLeaseManager(store.Dir(), opts.WorkerID, opts.LeaseTTL, opts.nowFn)
-		}
+		r.store = store
 	}
 	// The rendered-sequence cache. With SeqCacheDir it is the shared
 	// content-addressed store (each distinct sequence rendered once per
@@ -452,96 +457,30 @@ func allIndices(n int) []int {
 
 // cellStage produces one cell's exploration artifact at the given
 // fidelity: loaded from the checkpoint store when a peer (or a prior
-// run) completed it, computed here otherwise. In cooperative worker
-// mode the computation is guarded by the cell's lease — the worker
-// claims, computes under a heartbeat, and releases; when another live
-// worker holds the claim, this one polls until the artifact appears or
-// the holder's lease expires and is taken over. A cancellation request
-// is honoured before any computation (and on every poll turn), so a
-// canceled campaign stops at cell granularity: in-flight cells finish
-// and checkpoint, waiting ones never start.
+// run) completed it, computed here otherwise (see checkpointed).
 func (r *runner) cellStage(stage Stage, cell Cell, fidelity string) *cellOutcome {
-	out := r.cellStageLocked(cell, fidelity)
-	r.emitCell(stage, cell, out)
-	return out
-}
-
-func (r *runner) cellStageLocked(cell Cell, fidelity string) *cellOutcome {
-	if r.canceled() {
-		return &cellOutcome{err: ErrCanceled}
-	}
-	name := r.artifactName(cell, fidelity)
-	if out, done := r.tryLoadCell(cell, name, fidelity); done {
-		return out
-	}
-	if r.leases == nil {
-		return r.computeCell(cell, fidelity, name)
-	}
-	backoff := newPollBackoff()
-	for {
-		if r.canceled() {
-			return &cellOutcome{err: ErrCanceled}
-		}
-		lease, acquired, err := r.leases.TryAcquire(name)
-		if err != nil {
-			// Lease-file I/O faults are contention-shaped: log and poll.
-			r.logf("cell %d (%s on %s): %v", cell.Index, cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if acquired {
-			stop := r.heartbeat(lease)
-			out := r.computeCell(cell, fidelity, name)
-			stop()
-			return out
-		}
-		r.opts.sleepFn(backoff.Next())
-		if out, done := r.tryLoadCell(cell, name, fidelity); done {
-			return out
-		}
-	}
-}
-
-// tryLoadCell loads a completed artifact if the store has one; done is
-// false when the caller should compute (or keep waiting for) the cell.
-func (r *runner) tryLoadCell(cell Cell, name, fidelity string) (*cellOutcome, bool) {
-	if !r.opts.Resume || r.store == nil {
-		return nil, false
-	}
-	art := &cellArtifact{}
-	ok, err := r.store.Load(name, art)
-	if err != nil {
-		return &cellOutcome{err: fmt.Errorf("campaign: cell %s/%s: %w",
-			cell.Scenario.Name, cell.Target.Name, err)}, true
-	}
-	if !ok || art.Fidelity != fidelity {
-		return nil, false
-	}
-	r.logf("cell %d (%s on %s): resumed %s exploration from checkpoint",
-		cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity)
-	return &cellOutcome{art: art, resumed: true, owner: "store"}, true
-}
-
-// computeCell explores the cell (quarantining panics), persists the
-// artifact and reports the outcome.
-func (r *runner) computeCell(cell Cell, fidelity, name string) *cellOutcome {
-	art, err := r.exploreCellQuarantined(cell, fidelity)
-	if err != nil {
-		return &cellOutcome{err: err}
-	}
-	if r.store != nil {
-		if err := r.store.Save(name, art); err != nil {
-			return &cellOutcome{err: fmt.Errorf("campaign: checkpointing cell %s/%s: %w",
-				cell.Scenario.Name, cell.Target.Name, err)}
-		}
-	}
-	if art.Failed {
+	out := &cellOutcome{}
+	out.art, out.resumed, out.err = checkpointed(r, r.artifactName(cell, fidelity),
+		func(a *cellArtifact) bool { return a.Fidelity == fidelity },
+		func() (*cellArtifact, error) { return r.exploreCellQuarantined(cell, fidelity) })
+	switch {
+	case out.err != nil:
+	case out.resumed:
+		out.owner = "store"
+		r.logf("cell %d (%s on %s): resumed %s exploration from checkpoint",
+			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity)
+	case out.art.Failed:
+		out.owner = r.workerLabel()
 		r.logf("cell %d (%s on %s): %s exploration FAILED (quarantined): %s",
-			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity, art.FailureReason)
-	} else {
+			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity, out.art.FailureReason)
+	default:
+		out.owner = r.workerLabel()
 		r.logf("cell %d (%s on %s): %s exploration, %d evaluations, front %d",
 			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity,
-			art.Evaluations, len(art.Front))
+			out.art.Evaluations, len(out.art.Front))
 	}
-	return &cellOutcome{art: art, owner: r.workerLabel()}
+	r.emitCell(stage, cell, out)
+	return out
 }
 
 // exploreCellQuarantined contains a panicking exploration: the panic —
@@ -561,18 +500,6 @@ func (r *runner) exploreCellQuarantined(cell Cell, fidelity string) (art *cellAr
 	}()
 	return r.exploreCell(cell, fidelity)
 }
-
-// heartbeat renews lease until the returned stop function is called,
-// then releases it (sharedfs.Heartbeat: renewal at TTL/3 so one missed
-// beat — GC pause, NFS hiccup — does not forfeit the lease).
-func (r *runner) heartbeat(lease *Lease) (stop func()) {
-	return sharedfs.Heartbeat(lease, r.opts.LeaseTTL, r.logf)
-}
-
-// newPollBackoff is the deterministic wait ladder used while another
-// worker holds a cell (sharedfs.PollBackoff: 10ms doubling to a 200ms
-// cap). Wall-clock enters scheduling only; results never depend on it.
-func newPollBackoff() *sharedfs.PollBackoff { return sharedfs.NewPollBackoff() }
 
 // exploreCell runs one cell's constrained Fig2-style exploration at the
 // given fidelity and packages the outcome as an artifact.
@@ -823,75 +750,31 @@ func (r *runner) crossMeasure() ([]hypermapper.Point, [][]hypermapper.Metrics, e
 // the store when a peer (or prior run) measured it, measured here
 // otherwise — under the cell's lease in cooperative worker mode.
 func (r *runner) crossCell(j int, cell Cell, candidates []hypermapper.Point, candHash string) ([]hypermapper.Metrics, error) {
-	metrics, resumed, err := r.crossCellLocked(j, cell, candidates, candHash)
-	if err == nil {
-		r.emit(ProgressEvent{
-			Kind: ProgressCellDone, Stage: StageCrossMeasure, Cell: cell.Index,
-			Scenario: cell.Scenario.Name, Device: cell.Target.Name, Resumed: resumed,
-		})
+	ca, resumed, err := checkpointed(r, r.crossName(cell, candHash),
+		func(ca crossArtifact) bool { return len(ca.Metrics) == len(candidates) },
+		func() (crossArtifact, error) { return r.measureCell(j, cell, candidates) })
+	if err != nil {
+		return nil, err
 	}
-	return metrics, err
-}
-
-func (r *runner) crossCellLocked(j int, cell Cell, candidates []hypermapper.Point, candHash string) ([]hypermapper.Metrics, bool, error) {
-	if r.canceled() {
-		return nil, false, ErrCanceled
-	}
-	name := r.crossName(cell, candHash)
-	load := func() ([]hypermapper.Metrics, bool, error) {
-		if !r.opts.Resume || r.store == nil {
-			return nil, false, nil
-		}
-		var ca crossArtifact
-		ok, err := r.store.Load(name, &ca)
-		if err != nil {
-			return nil, false, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if !ok || len(ca.Metrics) != len(candidates) {
-			return nil, false, nil
-		}
+	if resumed {
 		r.logf("cell %d (%s on %s): resumed cross-measurement from checkpoint",
 			cell.Index, cell.Scenario.Name, cell.Target.Name)
-		return ca.Metrics, true, nil
 	}
-	if metrics, ok, err := load(); ok || err != nil {
-		return metrics, true, err
-	}
-	if r.leases == nil {
-		metrics, err := r.measureCell(j, cell, candidates, name)
-		return metrics, false, err
-	}
-	backoff := newPollBackoff()
-	for {
-		if r.canceled() {
-			return nil, false, ErrCanceled
-		}
-		lease, acquired, err := r.leases.TryAcquire(name)
-		if err != nil {
-			r.logf("cell %d (%s on %s): %v", cell.Index, cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if acquired {
-			stop := r.heartbeat(lease)
-			metrics, err := r.measureCell(j, cell, candidates, name)
-			stop()
-			return metrics, false, err
-		}
-		r.opts.sleepFn(backoff.Next())
-		if metrics, ok, err := load(); ok || err != nil {
-			return metrics, true, err
-		}
-	}
+	r.emit(ProgressEvent{
+		Kind: ProgressCellDone, Stage: StageCrossMeasure, Cell: cell.Index,
+		Scenario: cell.Scenario.Name, Device: cell.Target.Name, Resumed: resumed,
+	})
+	return ca.Metrics, nil
 }
 
-// measureCell measures every candidate in the cell at full fidelity and
-// persists the vector. Individual measurements are quarantined: a
-// candidate that detonates the pipeline in this cell yields Failed
-// metrics (infeasible everywhere downstream) instead of killing the
-// campaign.
-func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point, name string) ([]hypermapper.Metrics, error) {
+// measureCell measures every candidate in the cell at full fidelity.
+// Individual measurements are quarantined: a candidate that detonates
+// the pipeline in this cell yields Failed metrics (infeasible everywhere
+// downstream) instead of killing the campaign.
+func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point) (crossArtifact, error) {
 	seq, err := r.sequence(cell)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
+		return crossArtifact{}, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
 	memo := r.memo(cell, 1,
 		r.instrument(cell, simCross, core.NewEvaluator(r.space, seq, device.NewModel(cell.Target))))
@@ -906,13 +789,7 @@ func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point, n
 	metrics := parallel.MapOrdered(r.opts.Workers, candidates, func(_ int, pt hypermapper.Point) hypermapper.Metrics {
 		return measureQuarantined(memo.Evaluate, pt)
 	})
-	if r.store != nil {
-		if err := r.store.Save(name, crossArtifact{Metrics: metrics}); err != nil {
-			return nil, fmt.Errorf("campaign: checkpointing cross-measurement of cell %s/%s: %w",
-				cell.Scenario.Name, cell.Target.Name, err)
-		}
-	}
-	return metrics, nil
+	return crossArtifact{Metrics: metrics}, nil
 }
 
 // measureQuarantined contains a panicking cross-measurement: the

@@ -12,29 +12,14 @@
 // campaigns sharing a store directory each simulate a distinct
 // configuration exactly once, anywhere.
 //
-// The design inherits the rendered-sequence cache's crash-safety
-// contract wholesale (both are built on internal/sharedfs):
-//
-//   - Writes are atomic (temp file + fsync + rename) and every writer
-//     of a key produces identical bytes (the evaluator purity
-//     contract), so concurrent writers — racing goroutines or racing
-//     processes — are benign: the last complete rename wins and the
-//     winner is indistinguishable from the loser.
-//   - Every record embeds its key and a sha256 checksum; a load
-//     verifies both. Any defect — absent, truncated, torn, bit-rotted,
-//     version-mismatched, misfiled — is a miss that re-simulation
-//     repairs in place, never an error and never bad metrics.
-//   - Real I/O faults ride the bounded deterministic retry ladder.
-//   - Concurrent misses on one key coalesce across processes via the
-//     worker-lease protocol (heartbeat + TTL takeover, so a SIGKILLed
-//     simulator's key is taken over instead of wedging the campaign).
-//
-// Every store failure mode degrades to inline simulation: an unwritable
-// directory, an unreadable record after retries, an ENOSPC save, a
-// wedged lease — each is logged, counted in Stats.Degradations, and
-// answered by running the evaluator directly. The store can lose every
-// byte it owns and the campaign still completes with an identical
-// report, just slower. No store failure is ever fatal.
+// The store is the EVR1 codec (format.go) and a sharded key schema —
+// `<shard>/<key>.evr`, see Scope — over the sharedfs compute-once
+// Store, whose package comment describes the ladder, its crash-safety
+// contract and the Inline failure policy this store runs with: every
+// store failure degrades to inline simulation, logged and counted in
+// Stats.Degradations, never fatal. The store can lose every byte it owns
+// and the campaign still completes with an identical report, just
+// slower.
 //
 // Fidelity invariants: the fidelity stride is part of every key, so a
 // subsampled screening result can never answer a full-fidelity lookup
@@ -55,12 +40,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"slamgo/internal/hypermapper"
 	"slamgo/internal/sharedfs"
@@ -80,43 +60,10 @@ type Stats struct {
 	Evictions    int `json:"evictions"`
 }
 
-// Options configures a store.
-type Options struct {
-	// Dir is the shared store directory; empty means disabled (every
-	// Evaluate simulates inline, nothing touches disk — callers that
-	// want "off" should not construct a store at all, but an empty Dir
-	// is safe).
-	Dir string
-	// Worker identifies this process in lease files. Defaults to
-	// "pid<pid>" — lease contents never influence results, so a
-	// non-deterministic default is safe.
-	Worker string
-	// LeaseTTL bounds how long a dead simulator can block a key before
-	// takeover. Default 10s.
-	LeaseTTL time.Duration
-	// MaxBytes bounds the on-disk size; 0 means unbounded. Enforced
-	// after saves by deterministic eviction (lexicographic key order,
-	// newest write exempt), so cooperating processes evict identically.
-	MaxBytes int64
-	// Retry is the transient-fault ladder; zero value means
-	// sharedfs.DefaultRetryPolicy.
-	Retry sharedfs.RetryPolicy
-	// Log (may be nil) receives degradation and hygiene messages.
-	Log func(format string, args ...any)
-	// Sleep (nil = time.Sleep) paces retries and lease polls; tests
-	// inject a no-op to stay fast.
-	Sleep func(time.Duration)
-	// Now (nil = time.Now) is the lease clock; tests inject it to
-	// simulate dead workers.
-	Now func() time.Time
-}
-
-// maxLeasePolls bounds how long an Evaluate call waits on another
-// worker's live lease before degrading to inline simulation: a holder
-// that heartbeats forever without ever publishing (wedged, not dead —
-// TTL takeover never triggers) must not wedge this process too. At the
-// poll ladder's 200ms cap this is ~2 minutes of real waiting.
-const maxLeasePolls = 600
+// Options configures a store: Dir empty means disabled (every Evaluate
+// simulates, nothing touches disk — callers that want "off" should not
+// construct a store at all, but an empty Dir is safe).
+type Options = sharedfs.CacheOptions
 
 // Store is a content-addressed simulation-result store. Safe for
 // concurrent use by any number of goroutines; any number of processes
@@ -126,76 +73,19 @@ const maxLeasePolls = 600
 // filesystem-friendly; lease files live flat in the root where the
 // debris sweeper finds them.
 type Store struct {
-	dir      string
-	maxBytes int64
-	ttl      time.Duration
-	retry    sharedfs.RetryPolicy
-	logf     func(format string, args ...any)
-	sleep    func(time.Duration)
-	leases   *sharedfs.LeaseManager
-	faults   faultInjector
-
-	mu        sync.Mutex
-	broken    bool  // directory unusable: every Evaluate degrades to inline
-	diskBytes int64 // running on-disk estimate; authoritative rescan on evict
-	stats     Stats
+	fs *sharedfs.Store
 }
 
-// Open opens (creating if needed) a store over opts.Dir, sweeping the
-// debris dead simulators leave behind (stale temp files, orphaned
-// leases). Open never fails: an unusable directory is a degraded store,
-// not a broken campaign — every subsequent Evaluate simulates inline.
+// Open opens (creating if needed) a store over opts.Dir. Open never
+// fails: an unusable directory is a degraded store, not a broken
+// campaign — every subsequent Evaluate simulates inline.
 func Open(opts Options) *Store {
-	if opts.Worker == "" {
-		opts.Worker = fmt.Sprintf("pid%d", os.Getpid())
-	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 10 * time.Second
-	}
-	if opts.Retry == (sharedfs.RetryPolicy{}) {
-		opts.Retry = sharedfs.DefaultRetryPolicy()
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s := &Store{
-		dir:      opts.Dir,
-		maxBytes: opts.MaxBytes,
-		ttl:      opts.LeaseTTL,
-		retry:    opts.Retry,
-		logf:     logf,
-		sleep:    opts.Sleep,
-	}
-	if s.dir != "" {
-		if err := os.MkdirAll(s.dir, 0o755); err != nil {
-			s.logf("evalstore: %v (store disabled, simulating inline)", err)
-			s.broken = true
-			return s
-		}
-		sharedfs.SweepDebris(s.dir, sharedfs.DefaultDebrisAge, opts.Now)
-		for _, shard := range s.shardDirs() {
-			sharedfs.SweepDebris(shard, sharedfs.DefaultDebrisAge, opts.Now)
-		}
-		s.leases = sharedfs.NewLeaseManager(s.dir, opts.Worker, opts.LeaseTTL, opts.Now)
-		if s.maxBytes > 0 {
-			s.diskBytes = s.scanBytes()
-		}
-	}
-	return s
+	return &Store{fs: sharedfs.OpenCache("evalstore", ".evr", shardOf, opts)}
 }
-
-// Dir returns the store directory ("" when disabled).
-func (s *Store) Dir() string { return s.dir }
 
 // Path returns where key's record lives (test and tooling surface —
 // the fault suite and the smoke test damage files in place).
-func (s *Store) Path(key string) string {
-	return filepath.Join(s.dir, shardOf(key), key+".evr")
-}
+func (s *Store) Path(key string) string { return s.fs.Path(key) }
 
 // shardOf maps a key onto its two-hex-character shard directory.
 func shardOf(key string) string {
@@ -206,46 +96,18 @@ func shardOf(key string) string {
 	return h[:2]
 }
 
-// shardDirs lists the store's existing shard subdirectories in
-// lexicographic order.
-func (s *Store) shardDirs() []string {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		if e.IsDir() && len(e.Name()) == 2 {
-			out = append(out, filepath.Join(s.dir, e.Name()))
-		}
-	}
-	return out
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.fs.Counters()
+	return Stats{Simulations: st.Computes, DiskHits: st.Hits, Published: st.Published,
+		Degradations: st.Degradations, Evictions: st.Evictions}
 }
 
 // InjectFaults arms the fault plan (crash-safety tests only).
-func (s *Store) InjectFaults(plan FaultPlan) { s.faults.plan = plan }
+func (s *Store) InjectFaults(plan sharedfs.FaultPlan) { s.fs.InjectFaults(plan) }
 
-// Injected reports how many injected faults have fired — tests assert
-// it to prove the schedule actually exercised the recovery paths.
-func (s *Store) Injected() int {
-	s.faults.mu.Lock()
-	defer s.faults.mu.Unlock()
-	return s.faults.injected
-}
-
-// bump mutates the stats under the store lock.
-func (s *Store) bump(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
+// Injected reports how many injected faults have fired.
+func (s *Store) Injected() int { return s.fs.Injected() }
 
 // Scope binds the store to one evaluation context: the sequence content
 // key (core.Scale.CacheKey — hashes every render input), the device
@@ -284,268 +146,50 @@ func (sc *Scope) Key(pt hypermapper.Point) string {
 }
 
 // Evaluate returns pt's metrics, simulating via simulate only when no
-// cooperating process has published them. The degradation ladder, in
-// order: verified disk hit → lease-coordinated simulate-and-publish →
-// inline simulation (store failed; logged and counted, never fatal).
+// cooperating process has published them: the store's ladder, verified
+// disk hit → lease-coordinated simulate-and-publish → inline simulation.
 // The in-memory layer lives in the MemoEvaluator wrapping this scope,
 // so repeated lookups of one point within a process never reach here.
 func (sc *Scope) Evaluate(pt hypermapper.Point, simulate hypermapper.Evaluator) hypermapper.Metrics {
-	s := sc.store
+	var m hypermapper.Metrics
+	run := func() ([]byte, error) { m = simulate(pt); return nil, nil }
 	if !hypermapper.KeyablePoint(pt) {
 		// No canonical key exists for a NaN coordinate; simulate
 		// uncached. Spaces are finite ordinal/integer grids so this is
 		// unreachable in practice — guarded so a future space change
 		// degrades instead of corrupting the store.
-		s.logf("evalstore: point has NaN coordinate (no canonical key); simulating inline")
-		s.bump(func(st *Stats) { st.Simulations++; st.Degradations++ })
-		return simulate(pt)
+		sc.store.fs.Inline("point", "NaN coordinate (no canonical key)", run)
+		return m
 	}
 	key := sc.Key(pt)
-	s.mu.Lock()
-	broken := s.broken
-	s.mu.Unlock()
-	if s.dir == "" {
-		// Disabled store: simulating here is the store working as
-		// configured, not a degradation.
-		s.bump(func(st *Stats) { st.Simulations++ })
-		return simulate(pt)
-	}
-	if broken {
-		return s.inline(key, pt, simulate, "store directory unusable")
-	}
-	if m, hit, err := s.load(key); hit {
-		s.bump(func(st *Stats) { st.DiskHits++ })
-		return m
-	} else if err != nil {
-		return s.inline(key, pt, simulate, fmt.Sprintf("load failed: %v", err))
-	}
-	// Cross-process single-flight: claim the key's lease and simulate,
-	// or watch a live holder until its record appears / its lease
-	// expires (TTL takeover of dead simulators). A holder that never
-	// publishes and never dies is bounded by maxLeasePolls → inline
-	// degradation.
-	backoff := sharedfs.NewPollBackoff()
-	for polls := 0; ; polls++ {
-		lease, acquired, err := s.leases.TryAcquire(key)
-		if err != nil {
-			return s.inline(key, pt, simulate, fmt.Sprintf("lease failed: %v", err))
+	// Inline policy: Get's only error would be simulate's, which has none.
+	sc.store.fs.Get(key, func(data []byte) error {
+		got, rec, err := Decode(data)
+		switch {
+		case err != nil:
+			return err
+		case got != key:
+			return fmt.Errorf("record is keyed %s (misfiled)", got)
+		case rec.LowFidelity:
+			// Defence in depth: the store never publishes such a record,
+			// so it is a defect and must never answer a lookup.
+			return errors.New("record flagged LowFidelity (defect)")
 		}
-		if acquired {
-			var m hypermapper.Metrics
-			func() {
-				// deferred so a panicking simulation (campaign cells
-				// quarantine those) still releases the lease instead of
-				// heartbeating a key that will never be published.
-				stop := sharedfs.Heartbeat(lease, s.ttl, s.logf)
-				defer stop()
-				m = s.simulateAndPublish(key, pt, simulate)
-			}()
-			return m
-		}
-		if polls >= maxLeasePolls {
-			return s.inline(key, pt, simulate, "simulator holding the lease never published")
-		}
-		s.sleep(backoff.Next())
-		if m, hit, err := s.load(key); hit {
-			s.bump(func(st *Stats) { st.DiskHits++ })
-			return m
-		} else if err != nil {
-			return s.inline(key, pt, simulate, fmt.Sprintf("load failed: %v", err))
-		}
-	}
-}
-
-// inline is the bottom of the degradation ladder: simulate without the
-// store, log why, count it. Never fatal.
-func (s *Store) inline(key string, pt hypermapper.Point, simulate hypermapper.Evaluator, why string) hypermapper.Metrics {
-	s.logf("evalstore: %s: %s; degrading to inline simulation", key, why)
-	m := simulate(pt)
-	s.bump(func(st *Stats) { st.Simulations++; st.Degradations++ })
-	return m
-}
-
-// simulateAndPublish runs the evaluator for key and publishes the
-// record. A failed publish degrades (the freshly computed metrics are
-// still returned — only the *store* failed) rather than failing the
-// caller.
-func (s *Store) simulateAndPublish(key string, pt hypermapper.Point, simulate hypermapper.Evaluator) hypermapper.Metrics {
-	m := simulate(pt)
-	s.bump(func(st *Stats) { st.Simulations++ })
-	if m.LowFidelity {
-		// Never persisted: cached metrics answer future probes as
-		// full-fidelity truths for their stride, and the LowFidelity
-		// marker exists precisely to say "this is not that". In the
-		// current pipeline the flag is applied above the memo layer
-		// (MultiFidelity marks unpromoted batch entries after EvalAll),
-		// so evaluator output reaching here never carries it — this is
-		// the same defence-in-depth as Preload's filter.
-		return m
-	}
-	if err := s.save(key, m); err != nil {
-		s.logf("evalstore: %s: save failed: %v; metrics served inline", key, err)
-		s.bump(func(st *Stats) { st.Degradations++ })
-		return m
-	}
-	s.bump(func(st *Stats) { st.Published++ })
-	s.noteWritten(key, int64(len(Encode(key, m))))
-	return m
-}
-
-// save publishes key's record atomically, riding the retry ladder over
-// transient faults. Each attempt is one fault-plan op.
-func (s *Store) save(key string, m hypermapper.Metrics) error {
-	data := Encode(key, m)
-	path := s.Path(key)
-	shard := filepath.Dir(path)
-	return s.retry.Retry("evalstore: saving "+key, s.sleep, func() error {
-		write := func() error {
-			if err := os.MkdirAll(shard, 0o755); err != nil {
-				return err
-			}
-			return sharedfs.WriteFileAtomic(shard, path, key, data)
-		}
-		if fired, ferr := s.faults.saveFault(path, write); fired {
-			return ferr
-		}
-		return write()
-	})
-}
-
-// load reads and verifies key's record. hit=false with nil error is a
-// clean miss (absent or damaged — damage is logged and re-simulation
-// repairs it); a non-nil error is a real I/O fault that survived the
-// retry ladder, which callers answer with inline degradation. Each
-// attempt is one fault-plan op; misses are never retried.
-func (s *Store) load(key string) (m hypermapper.Metrics, hit bool, err error) {
-	path := s.Path(key)
-	err = s.retry.Retry("evalstore: loading "+key, s.sleep, func() error {
-		m, hit = hypermapper.Metrics{}, false
-		if ferr := s.faults.loadFault(path); ferr != nil {
-			return ferr
-		}
-		data, rerr := os.ReadFile(path)
-		if errors.Is(rerr, os.ErrNotExist) {
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-		gotKey, got, derr := Decode(data)
-		if derr != nil {
-			s.logf("evalstore: %s: %v; treating as miss, will re-simulate", key, derr)
-			return nil
-		}
-		if gotKey != key {
-			s.logf("evalstore: %s: record is keyed %s (misfiled); treating as miss", key, gotKey)
-			return nil
-		}
-		if got.LowFidelity {
-			// Defence in depth: such a record is a defect (the store
-			// never publishes one) and must never answer a lookup.
-			s.logf("evalstore: %s: record flagged LowFidelity (defect); treating as miss", key)
-			return nil
-		}
-		m, hit = got, true
+		m = rec
 		return nil
+	}, func() ([]byte, error) {
+		run()
+		if m.LowFidelity {
+			// Never persisted: cached metrics answer future probes as
+			// full-fidelity truths for their stride, and the LowFidelity
+			// marker exists precisely to say "this is not that". In the
+			// current pipeline the flag is applied above the memo layer
+			// (MultiFidelity marks unpromoted batch entries after EvalAll),
+			// so evaluator output reaching here never carries it — this is
+			// the same defence-in-depth as Preload's filter.
+			return nil, nil
+		}
+		return Encode(key, m), nil
 	})
-	if err != nil {
-		return hypermapper.Metrics{}, false, err
-	}
-	return m, hit, nil
-}
-
-// noteWritten advances the running size estimate after a publish and
-// triggers eviction when the budget is crossed. The estimate drifts
-// only when another process publishes (their writes are invisible until
-// the next authoritative rescan inside evict), so a lone process
-// enforces its budget exactly and cooperating processes enforce it
-// within one rescan of each other.
-func (s *Store) noteWritten(key string, size int64) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.diskBytes += size
-	over := s.diskBytes > s.maxBytes
-	s.mu.Unlock()
-	if over {
-		s.evict(key)
-	}
-}
-
-// scanBytes sums the sizes of every record in the store (best-effort:
-// unreadable entries count as absent).
-func (s *Store) scanBytes() int64 {
-	var total int64
-	for _, shard := range s.shardDirs() {
-		ents, err := os.ReadDir(shard)
-		if err != nil {
-			continue
-		}
-		for _, e := range ents {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".evr") {
-				continue
-			}
-			if info, ierr := e.Info(); ierr == nil {
-				total += info.Size()
-			}
-		}
-	}
-	return total
-}
-
-// evict enforces MaxBytes after a save: rescan the shards (the
-// authoritative size — the running estimate cannot see other
-// processes' writes), then walk the records in lexicographic key order
-// — a pure function of the directory contents, so every cooperating
-// process evicts identically — removing until under budget. The
-// just-published key is exempt (evicting what the caller is about to
-// use would thrash). Best-effort: eviction I/O faults are logged, never
-// propagated, and an evicted record another process still wanted is
-// just a future miss.
-func (s *Store) evict(just string) {
-	type rec struct {
-		key  string
-		size int64
-	}
-	var recs []rec
-	var total int64
-	for _, shard := range s.shardDirs() {
-		ents, err := os.ReadDir(shard)
-		if err != nil {
-			s.logf("evalstore: evict: %v", err)
-			continue
-		}
-		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".evr") {
-				continue
-			}
-			info, ierr := e.Info()
-			if ierr != nil {
-				continue
-			}
-			recs = append(recs, rec{key: strings.TrimSuffix(name, ".evr"), size: info.Size()})
-			total += info.Size()
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	for _, r := range recs {
-		if total <= s.maxBytes {
-			break
-		}
-		if r.key == just {
-			continue
-		}
-		if rerr := os.Remove(s.Path(r.key)); rerr != nil {
-			s.logf("evalstore: evict %s: %v", r.key, rerr)
-			continue
-		}
-		total -= r.size
-		s.bump(func(st *Stats) { st.Evictions++ })
-		s.logf("evalstore: evicted %s (%d bytes) to stay under %d", r.key, r.size, s.maxBytes)
-	}
-	s.mu.Lock()
-	s.diskBytes = total
-	s.mu.Unlock()
+	return m
 }

@@ -1,12 +1,3 @@
-// Package sharedfs holds the crash-safety primitives for directories
-// shared by cooperating processes: atomic file publication (temp file +
-// fsync + rename), a bounded deterministic retry ladder for transient
-// I/O faults, the worker-lease protocol that distributes work across
-// processes sharing a directory, and a debris sweeper that
-// garbage-collects the temp and lease files SIGKILLed processes leave
-// behind. The campaign checkpoint store and the rendered-sequence cache
-// are both built on these primitives, so their fault semantics are
-// identical by construction.
 package sharedfs
 
 import (
@@ -23,8 +14,11 @@ import (
 // shared filesystem) split a set of named work items, and any of them
 // can die at any instant without losing the overall job.
 //
-// A worker claims an item by atomically creating `<name>.lease`
-// (O_CREATE|O_EXCL) carrying its worker id and a heartbeat timestamp.
+// A worker claims an item by atomically creating `<name>.lease` with
+// its content in place — the record is written to a temp file and
+// hard-linked to the lease name, which fails if the name exists — so no
+// peer can ever read a half-created lease. The record carries the
+// worker id and a heartbeat timestamp.
 // While the item runs the holder renews the heartbeat; a lease whose
 // heartbeat is older than the TTL is expired and may be taken over by
 // any other worker. On completion the holder publishes the result
@@ -118,22 +112,26 @@ func (m *LeaseManager) expired(rec leaseRecord) bool {
 	return m.now().Sub(time.Unix(0, rec.HeartbeatNS)) > m.ttl
 }
 
+// testHookLeaseCreated, when set by a test, runs right after a
+// TryAcquire made name's lease file visible — the instant a peer may
+// read it.
+var testHookLeaseCreated func(name string)
+
 // TryAcquire attempts to claim name. It returns (lease, true) when this
 // worker now holds the claim — either by creating the lease file
 // atomically or by taking over an expired one — and (nil, false) when a
-// live worker holds it. Errors are real I/O faults; callers in a poll
-// loop may treat them like contention and retry.
+// live worker holds it. Errors are real I/O faults.
 func (m *LeaseManager) TryAcquire(name string) (*Lease, bool, error) {
 	path := m.leasePath(name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	tmp, err := m.writeRecord()
+	if err != nil {
+		return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, err)
+	}
+	defer os.Remove(tmp) // after a link or a failed rename; gone after a takeover
+	err = os.Link(tmp, path)
 	if err == nil {
-		_, werr := f.Write(m.record())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			os.Remove(path)
-			return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, werr)
+		if testHookLeaseCreated != nil {
+			testHookLeaseCreated(name)
 		}
 		return &Lease{m: m, name: name, path: path}, true, nil
 	}
@@ -141,45 +139,38 @@ func (m *LeaseManager) TryAcquire(name string) (*Lease, bool, error) {
 		return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, err)
 	}
 	rec, ok := m.read(name)
-	if !ok {
-		// The holder released between our create attempt and the read;
-		// let the caller's poll loop re-try (the artifact is probably
-		// about to appear).
-		return nil, false, nil
-	}
-	if !m.expired(rec) {
+	if !ok || !m.expired(rec) {
+		// Live holder — or it released between our link and our read; let
+		// the caller's poll loop retry (its artifact is probably about to
+		// appear).
 		return nil, false, nil
 	}
 	// Expired: take over by atomically replacing the lease file. Two
 	// workers racing this rename both think they won — that is a benign
-	// race (see the package comment): both compute, identical bytes,
+	// race (see the protocol comment): both compute, identical bytes,
 	// last complete artifact rename wins.
-	if err := m.overwrite(name); err != nil {
-		return nil, false, err
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, err)
 	}
 	return &Lease{m: m, name: name, path: path}, true, nil
 }
 
-// overwrite atomically replaces name's lease file with a fresh record
-// for this worker.
-func (m *LeaseManager) overwrite(name string) error {
+// writeRecord writes a fresh heartbeat record for this worker to a new
+// temp file in the lease directory and returns its path.
+func (m *LeaseManager) writeRecord() (string, error) {
 	f, err := os.CreateTemp(m.dir, ".tmp-lease-*")
 	if err != nil {
-		return fmt.Errorf("sharedfs: lease %s: %w", name, err)
+		return "", err
 	}
-	tmp := f.Name()
-	_, werr := f.Write(m.record())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	_, err = f.Write(m.record())
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if werr == nil {
-		werr = os.Rename(tmp, m.leasePath(name))
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sharedfs: lease %s: %w", name, werr)
-	}
-	return nil
+	return f.Name(), nil
 }
 
 // Renew refreshes the heartbeat. It returns ErrLeaseLost when the lease
@@ -191,7 +182,16 @@ func (l *Lease) Renew() error {
 	if !ok || rec.Worker != l.m.worker {
 		return ErrLeaseLost
 	}
-	return l.m.overwrite(l.name)
+	tmp, err := l.m.writeRecord()
+	if err == nil {
+		if err = os.Rename(tmp, l.path); err != nil {
+			os.Remove(tmp)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("sharedfs: lease %s: %w", l.name, err)
+	}
+	return nil
 }
 
 // Release drops the claim after the artifact is saved. Only a lease
@@ -218,23 +218,16 @@ func (m *LeaseManager) Holder(name string) (worker string, expired, ok bool) {
 	return rec.Worker, m.expired(rec), true
 }
 
-// Heartbeat renews lease until the returned stop function is called,
+// heartbeat renews lease until the returned stop function is called,
 // then releases it. Renewal runs at a third of the TTL so one missed
-// beat (GC pause, NFS hiccup) does not forfeit the lease; logf (may be
-// nil) receives renewal failures.
-func Heartbeat(lease *Lease, ttl time.Duration, logf func(format string, args ...any)) (stop func()) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// beat (GC pause, NFS hiccup) does not forfeit the lease; logf receives
+// renewal failures.
+func heartbeat(lease *Lease, ttl time.Duration, logf func(format string, args ...any)) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
-	interval := ttl / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(max(ttl/3, time.Millisecond))
 		defer t.Stop()
 		for {
 			select {

@@ -37,16 +37,10 @@ func (p RetryPolicy) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Retry runs op up to p.Attempts times, sleeping the ladder's delay
-// between tries; sleep nil means time.Sleep. The what label names the
-// operation in the exhaustion error.
+// Retry runs op up to p.Attempts times (at least once), sleeping the
+// ladder's delay between tries. The what label names the operation in
+// the exhaustion error.
 func (p RetryPolicy) Retry(what string, sleep func(time.Duration), op func() error) error {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	var err error
 	for attempt := 1; ; attempt++ {
 		if err = op(); err == nil {

@@ -1,6 +1,8 @@
 package sharedfs
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,8 +36,8 @@ func TestRetryRecoversAndExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transient fault not absorbed: %v", err)
 	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
+	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
+		t.Fatalf("backoff = %v, want [10ms 20ms]", slept)
 	}
 
 	slept = nil
@@ -43,8 +45,13 @@ func TestRetryRecoversAndExhausts(t *testing.T) {
 	if err == nil {
 		t.Fatal("permanent fault not reported")
 	}
-	if want := DefaultRetryPolicy().Attempts - 1; len(slept) != want {
-		t.Fatalf("slept %d times, want %d", len(slept), want)
+	// The deterministic ladder: one sleep between each of the 5 attempts.
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
+	if fmt.Sprint(slept) != fmt.Sprint(want) {
+		t.Fatalf("backoff = %v, want %v", slept, want)
+	}
+	if !errors.Is(err, os.ErrPermission) {
+		t.Fatalf("exhaustion error %v does not wrap the cause", err)
 	}
 }
 
@@ -138,7 +145,7 @@ func leaseBytes(t *testing.T, worker string, heartbeat time.Time) []byte {
 
 // TestLeaseRoundtrip exercises the acquire → renew → release cycle and
 // takeover of an expired holder at the sharedfs level (the campaign
-// suite covers the protocol end-to-end through its aliases).
+// suite covers the protocol end-to-end through cooperating workers).
 func TestLeaseRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	a := NewLeaseManager(dir, "a", time.Minute, nil)
