@@ -38,7 +38,8 @@ campaign-smoke:
 
 # Checkpoint/resume smoke test of the staged campaign engine: run the
 # same cell-ladder campaign three ways — stopped after the Explore
-# stage, resumed from its checkpoints, and uninterrupted — and require
+# stage, rerun over the same checkpoint directory (which resumes it),
+# and uninterrupted — and require
 # the resumed report to be byte-identical to the uninterrupted one.
 RESUME_SMOKE_DIR := .campaign-resume-smoke
 RESUME_SMOKE_FLAGS := -campaign -quick \
@@ -52,7 +53,7 @@ campaign-resume-smoke:
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
 		-campaign-checkpoint $(RESUME_SMOKE_DIR)/store -campaign-stop-after explore
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
-		-campaign-checkpoint $(RESUME_SMOKE_DIR)/store -campaign-resume \
+		-campaign-checkpoint $(RESUME_SMOKE_DIR)/store \
 		-o $(RESUME_SMOKE_DIR)/resumed.txt
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
 		-o $(RESUME_SMOKE_DIR)/fresh.txt

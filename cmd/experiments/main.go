@@ -37,12 +37,11 @@ func main() {
 		campScenes     = flag.String("campaign-scenes", "", "comma-separated scenario names for -campaign (lr_kt0..lr_kt3, of_kt0..of_kt1; empty = all six)")
 		campDevices    = flag.String("campaign-devices", "odroid-xu3,pixel-adreno530", "comma-separated device targets for -campaign (odroid-xu3, desktop-gpu, or phone-catalogue names)")
 		campFormat     = flag.String("campaign-format", "table", "campaign report format: table, csv or json")
-		campCheckpoint = flag.String("campaign-checkpoint", "", "persist per-cell stage artifacts into this directory (created if needed), so a killed campaign can resume")
-		campResume     = flag.Bool("campaign-resume", false, "load matching artifacts from -campaign-checkpoint instead of recomputing them")
+		campCheckpoint = flag.String("campaign-checkpoint", "", "persist per-cell stage artifacts into this directory (created if needed) and load every matching one, so rerunning a killed campaign continues it")
 		campCellStride = flag.Int("campaign-cell-stride", 0, "cell-level multi-fidelity frame stride (>1 screens every cell on a subsampled sequence and promotes only competitive cells to full fidelity)")
 		campCellProm   = flag.Float64("campaign-cell-promote", 0.5, "fraction of grid cells promoted to full-fidelity exploration (with -campaign-cell-stride)")
 		campStopAfter  = flag.String("campaign-stop-after", "", "end the campaign cleanly after this stage (plan, explore, promote or crossmeasure) — simulates a kill at a stage boundary for checkpoint/resume workflows")
-		campWorkerID   = flag.String("campaign-worker-id", "", "run as one cooperating worker of a multi-process campaign: processes sharing -campaign-checkpoint split the grid through cell leases and any of them can be killed without losing the campaign (implies -campaign-resume)")
+		campWorkerID   = flag.String("campaign-worker-id", "", "run as one cooperating worker of a multi-process campaign: processes sharing -campaign-checkpoint split the grid through cell leases and any of them can be killed without losing the campaign")
 		campLeaseTTL   = flag.Duration("campaign-lease-ttl", 0, "heartbeat deadline after which a dead worker's cell lease is reclaimed by its peers (with -campaign-worker-id; default 10s)")
 		campSeqCache   = flag.String("campaign-seq-cache", "", "content-addressed rendered-sequence cache directory shared by campaign cells and cooperating workers (default: <campaign-checkpoint>/seqcache when checkpointing, otherwise in-process only; \"off\" disables the disk cache entirely)")
 		campSeqCacheMB = flag.Int64("campaign-seq-cache-max-mb", 0, "evict oldest rendered-sequence artifacts once the cache exceeds this many MiB (0 = unbounded)")
@@ -110,7 +109,6 @@ func main() {
 			CellStride:          *campCellStride,
 			CellPromoteFraction: *campCellProm,
 			CheckpointDir:       *campCheckpoint,
-			Resume:              *campResume,
 			WorkerID:            *campWorkerID,
 			LeaseTTL:            *campLeaseTTL,
 			SeqCacheDir:         seqCacheDir,
@@ -148,7 +146,7 @@ func main() {
 			msg := fmt.Sprintf("campaign stopped after the %s stage in %s",
 				res.StoppedAfter, time.Since(start).Round(time.Second))
 			if *campCheckpoint != "" {
-				msg += "; rerun with -campaign-resume to continue"
+				msg += "; rerun with the same -campaign-checkpoint to continue"
 			}
 			eprint(msg)
 			return

@@ -102,19 +102,20 @@
 // file per cell per stage (campaign.Store — a JSON envelope codec over
 // the internal/sharedfs compute-once store), named by the stage kind,
 // the grid index and a content hash of the cell spec + seed + the
-// options that determine the artifact's bytes. A killed campaign
-// rerun with -campaign-resume loads completed cells instead of
-// re-simulating them (a changed option hashes differently and simply
-// misses the stale artifact; a format change bumps the store version
-// and orphans everything). Worker count is excluded from the hash —
-// results are bit-identical for any Workers value — so a campaign
+// options that determine the artifact's bytes, so a matching artifact
+// is always safe to load: a killed campaign rerun with the same
+// -campaign-checkpoint loads completed cells instead of re-simulating
+// them (a changed option hashes differently and simply misses the
+// stale artifact; a format change bumps the store version and orphans
+// everything). Worker count is excluded from the hash — results are
+// bit-identical for any Workers value — so a campaign
 // interrupted under -workers 1 resumes under -workers 8, and an
 // interrupted-then-resumed campaign renders a byte-identical report to
 // an uninterrupted one (floats round-trip JSON exactly; resumption
 // provenance goes to stderr via slambench.WriteCampaignProvenance, not
 // into the report). `make campaign-resume-smoke` enforces exactly that
-// in CI: run, stop after Explore, resume, diff against an uninterrupted
-// run.
+// in CI: run, stop after Explore, rerun over the same directory, diff
+// against an uninterrupted run.
 //
 // The checkpoint store doubles as a coordination substrate for
 // multi-process campaigns. With -campaign-worker-id, N processes (or
@@ -228,9 +229,9 @@
 // At campaign scale the Explore stage becomes two waves. Wave 1 runs
 // the grid-diagonal anchor cells (scenario i anchors at target i mod
 // nTargets) exactly as a transfer-off campaign would — same seeds, same
-// artifact names — and publishes each anchor's observation log as a
-// content-addressed obslog artifact. Wave 2 runs every remaining cell
-// as a borrower warm-started from a fixed donor set (its same-scenario
+// artifact names — and borrowers read donor observations straight from
+// those exploration artifacts. Wave 2 runs every remaining cell as a
+// borrower warm-started from a fixed donor set (its same-scenario
 // anchor first, then its same-device anchors): donor front winners are
 // interleaved round-robin into a hypermapper.WarmStartSeeder that
 // spends most of a slashed seeding budget (TransferSeeds, default 3)

@@ -13,7 +13,7 @@
 // Every stage consumes and emits serialisable per-cell artifacts. With
 // Options.CheckpointDir set the artifacts are persisted — one versioned
 // JSON file per cell, keyed by a content hash of the cell spec, seed
-// and options (see Store) — and Options.Resume loads them back, so a
+// and options (see Store) — and loaded back whenever they match, so a
 // campaign killed at any point restarts from its completed cells and a
 // changed option automatically invalidates stale artifacts. The Explore
 // stage runs each cell's constrained Fig2-style exploration; with
@@ -237,20 +237,20 @@ type Options struct {
 	// CheckpointDir, when non-empty, persists every stage's per-cell
 	// artifacts into this directory (created if needed) as versioned
 	// JSON files keyed by content hashes of the cell spec + seed +
-	// options, so completed work survives a kill.
+	// options, and loads every matching artifact instead of recomputing
+	// it, so completed work survives a kill: rerunning a campaign over
+	// the same directory continues it with zero re-simulation. Artifacts
+	// whose options hash differs are never read.
 	CheckpointDir string
-	// Resume loads matching artifacts from CheckpointDir instead of
-	// recomputing them; artifacts whose options hash differs are
-	// ignored. Requires CheckpointDir.
-	Resume bool
 	// WorkerID, when non-empty, runs this process as one cooperating
 	// worker of a multi-process campaign: cells are claimed through
 	// .lease files in CheckpointDir (atomic create, heartbeat renewal,
 	// TTL expiry — see internal/sharedfs), so N workers sharing the
 	// directory split the grid dynamically and any worker can be
-	// SIGKILLed without losing the campaign. Requires CheckpointDir; implies
-	// Resume (a worker must load cells its peers completed). Every
-	// worker that runs to completion renders the identical report.
+	// SIGKILLed without losing the campaign. Requires CheckpointDir; a
+	// worker loads the cells its peers completed like any other matching
+	// artifact. Every worker that runs to completion renders the
+	// identical report.
 	WorkerID string
 	// LeaseTTL is the heartbeat deadline after which a dead or stalled
 	// worker's cell lease may be reclaimed by its peers (default 10s).
@@ -314,9 +314,10 @@ type Options struct {
 	// half-explored cell is lost work, a persisted one resumes for
 	// free), and returns ErrCanceled once they drain. With a
 	// CheckpointDir a canceled campaign is indistinguishable from one
-	// killed at an artifact boundary — rerunning with Resume continues
-	// it with zero re-simulation. The long-running campaign service
-	// uses this for both user cancellation and graceful drain.
+	// killed at an artifact boundary — rerunning over the same
+	// CheckpointDir continues it with zero re-simulation. The
+	// long-running campaign service uses this for both user cancellation
+	// and graceful drain.
 	Cancel <-chan struct{}
 	// OnProgress, when non-nil, receives stage and cell transition
 	// events (see ProgressEvent): every stage start and end, and one
@@ -370,11 +371,6 @@ func (o *Options) applyDefaults() {
 	if o.CellPromoteFraction <= 0 || o.CellPromoteFraction > 1 {
 		o.CellPromoteFraction = 0.5
 	}
-	if o.WorkerID != "" {
-		// A cooperating worker must consume what its peers completed;
-		// worker mode is resume mode by definition.
-		o.Resume = true
-	}
 }
 
 // Validate rejects unrunnable options. It is safe to call on options
@@ -410,14 +406,14 @@ func (o Options) Validate() error {
 	if o.StopAfter != "" && o.StopAfter != StagePlan && o.CheckpointDir == "" {
 		return fmt.Errorf("campaign: StopAfter %s without CheckpointDir would discard the stage's work", o.StopAfter)
 	}
-	if o.Resume && o.CheckpointDir == "" {
-		return errors.New("campaign: Resume requires CheckpointDir")
-	}
 	if o.WorkerID != "" && o.CheckpointDir == "" {
 		return errors.New("campaign: WorkerID (cooperative worker mode) requires CheckpointDir")
 	}
 	if o.LeaseTTL < 0 {
 		return fmt.Errorf("campaign: negative lease TTL %v", o.LeaseTTL)
+	}
+	if o.SeqCacheMaxBytes < 0 {
+		return fmt.Errorf("campaign: negative sequence cache size %d", o.SeqCacheMaxBytes)
 	}
 	if o.EvalCacheMaxBytes < 0 {
 		return fmt.Errorf("campaign: negative eval cache size %d", o.EvalCacheMaxBytes)
@@ -652,25 +648,10 @@ func Run(opts Options) (*Result, error) {
 // Report converts the result into the slambench campaign report.
 func (r *Result) Report() *slambench.CampaignReport {
 	rep := &slambench.CampaignReport{
-		AccuracyLimit:   r.AccuracyLimit,
-		Candidates:      r.CandidateCount,
-		Transfer:        r.Transfer,
-		SeqRenders:      r.SeqStats.Renders,
-		SeqDiskHits:     r.SeqStats.DiskHits,
-		SeqMemoryHits:   r.SeqStats.MemoryHits,
-		SeqDegradations: r.SeqStats.Degradations,
-		SeqEvictions:    r.SeqStats.Evictions,
-
-		EvalSimulations:  r.EvalStats.Simulations,
-		EvalDiskHits:     r.EvalStats.DiskHits,
-		EvalPublished:    r.EvalStats.Published,
-		EvalDegradations: r.EvalStats.Degradations,
-		EvalEvictions:    r.EvalStats.Evictions,
-		MemoHits:         r.MemoHits,
-		MemoMisses:       r.MemoMisses,
-	}
-	if r.CacheSummary {
-		rep.Caches = &slambench.CampaignCacheSummary{
+		AccuracyLimit: r.AccuracyLimit,
+		Candidates:    r.CandidateCount,
+		Transfer:      r.Transfer,
+		Counters: slambench.CampaignCacheSummary{
 			MemoHits:         r.MemoHits,
 			MemoMisses:       r.MemoMisses,
 			EvalSimulations:  r.EvalStats.Simulations,
@@ -683,7 +664,10 @@ func (r *Result) Report() *slambench.CampaignReport {
 			SeqMemoryHits:    r.SeqStats.MemoryHits,
 			SeqDegradations:  r.SeqStats.Degradations,
 			SeqEvictions:     r.SeqStats.Evictions,
-		}
+		},
+	}
+	if r.CacheSummary {
+		rep.Caches = &rep.Counters
 	}
 	feasible := hypermapper.AccuracyLimit(r.AccuracyLimit)
 	for j, c := range r.Cells {

@@ -129,13 +129,13 @@ func TestOptionsValidate(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"resume without checkpoint", func(o *Options) { o.Resume = true }},
 		{"unknown stop-after stage", func(o *Options) { o.StopAfter = "sideways" }},
 		{"stop-after without checkpoint discards work", func(o *Options) { o.StopAfter = StageExplore }},
 		{"cell promote fraction > 1", func(o *Options) { o.CellPromoteFraction = 1.5 }},
 		{"negative promote fraction", func(o *Options) { o.PromoteFraction = -0.5 }},
 		{"negative cell stride", func(o *Options) { o.CellStride = -2 }},
 		{"negative accuracy limit", func(o *Options) { o.AccuracyLimit = -1 }},
+		{"negative seq cache size", func(o *Options) { o.SeqCacheMaxBytes = -1 }},
 	}
 	for _, c := range cases {
 		bad := ok

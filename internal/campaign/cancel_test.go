@@ -27,7 +27,7 @@ func TestCancelBeforeAnyWork(t *testing.T) {
 
 // TestCancelMidRunCheckpointsAndResumes is the cancellation acceptance
 // check: a campaign canceled mid-explore stops at a cell boundary with
-// its in-flight work checkpointed, and a subsequent Resume run renders
+// its in-flight work checkpointed, and a rerun over its store renders
 // a report byte-identical to an uninterrupted campaign while provably
 // reusing the canceled run's artifacts (strictly fewer simulations than
 // a cold run).
@@ -65,7 +65,6 @@ func TestCancelMidRunCheckpointsAndResumes(t *testing.T) {
 
 	var resSims simCounter
 	resumed := resumeOptions(4, dir)
-	resumed.Resume = true
 	resumed.observeSimulation = resSims.hook
 	got, err := Run(resumed)
 	if err != nil {

@@ -106,13 +106,14 @@ func (s *Store) Load(name string, out any) (bool, error) {
 	return s.Store.Load(name, func(data []byte) error { return decodeArtifact(name, data, out) })
 }
 
-// checkpointed resolves a stage artifact through the checkpoint store:
-// loaded when resuming and a peer or earlier run published one that
-// valid accepts, otherwise computed here and published — under the
-// artifact's lease in cooperative worker mode. Without a store it just
-// computes. A cancellation request is honoured before any computation
-// (and on every poll turn), so a canceled campaign stops at cell
-// granularity: in-flight cells finish and checkpoint, waiting ones
+// checkpointed resolves a stage artifact. Without a store it just
+// computes. With one it loads the artifact a peer or an earlier run
+// published, when valid accepts it, and otherwise computes it here and
+// publishes it — under the artifact's lease in cooperative worker mode.
+// Loading is always safe because the name hashes every input that shapes
+// the artifact's bytes. A cancellation request is honoured before any
+// computation (and on every poll turn), so a canceled campaign stops at
+// cell granularity: in-flight cells finish and checkpoint, waiting ones
 // never start.
 func checkpointed[T any](r *runner, name string, valid func(T) bool, compute func() (T, error)) (v T, resumed bool, err error) {
 	switch {
@@ -120,11 +121,6 @@ func checkpointed[T any](r *runner, name string, valid func(T) bool, compute fun
 		return v, false, ErrCanceled
 	case r.store == nil:
 		v, err = compute()
-		return v, false, err
-	case !r.opts.Resume:
-		if v, err = compute(); err == nil {
-			err = r.store.Save(name, v)
-		}
 		return v, false, err
 	}
 	out, err := r.store.Get(name, func(data []byte) error {

@@ -38,7 +38,6 @@ func TestFaultInjectedStoreByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var fs *Store
 	opts := resumeOptions(1, dir)
-	opts.Resume = true
 	opts.onStore = func(s *Store) {
 		fs = s
 		s.InjectFaults(sharedfs.FaultPlan{
@@ -78,7 +77,6 @@ func TestCorruptArtifactRecomputed(t *testing.T) {
 	var fs *Store
 	var sims simCounter
 	opts := resumeOptions(1, dir)
-	opts.Resume = true
 	opts.observeSimulation = sims.hook
 	opts.onStore = func(s *Store) {
 		// Load op 0 is the first cell's screening artifact: rot its bytes

@@ -9,8 +9,8 @@ import "errors"
 // checkpointed one resumes for free), no new cell work starts, and the
 // run returns as soon as the in-flight cells have drained. With a
 // checkpoint store a canceled campaign is therefore exactly a campaign
-// stopped at an artifact boundary: rerunning with Resume picks up where
-// it left off with zero re-simulation.
+// stopped at an artifact boundary: rerunning over the same checkpoint
+// directory picks up where it left off with zero re-simulation.
 var ErrCanceled = errors.New("campaign: run canceled")
 
 // Progress event kinds (ProgressEvent.Kind).

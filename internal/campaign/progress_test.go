@@ -114,7 +114,6 @@ func TestProgressEventsMarkResumedArtifacts(t *testing.T) {
 	fresh := collectEvents(t, resumeOptions(1, dir))
 
 	opts := resumeOptions(4, dir)
-	opts.Resume = true
 	replay := collectEvents(t, opts)
 
 	count := func(events []ProgressEvent) int {

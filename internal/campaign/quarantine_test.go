@@ -58,7 +58,6 @@ func TestPanicQuarantinedCell(t *testing.T) {
 	// cell: zero simulations, byte-identical report.
 	var sims simCounter
 	again := resumeOptions(2, dir)
-	again.Resume = true
 	again.observeSimulation = sims.hook
 	res2, err := Run(again)
 	if err != nil {

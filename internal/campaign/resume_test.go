@@ -168,7 +168,6 @@ func TestInterruptedResumeByteIdentical(t *testing.T) {
 
 		var sims simCounter
 		opts := resumeOptions(c.workers, dir)
-		opts.Resume = true
 		opts.observeSimulation = sims.hook
 		got, err := Run(opts)
 		if err != nil {
@@ -214,7 +213,6 @@ func TestCompletedCampaignResumesWithoutSimulation(t *testing.T) {
 
 	var sims simCounter
 	opts := resumeOptions(4, dir)
-	opts.Resume = true
 	opts.observeSimulation = sims.hook
 	again, err := Run(opts)
 	if err != nil {
@@ -247,7 +245,6 @@ func TestChangedOptionInvalidatesArtifacts(t *testing.T) {
 	var sims simCounter
 	resumed := resumeOptions(1, dir)
 	resumed.AccuracyLimit = 0.12
-	resumed.Resume = true
 	resumed.observeSimulation = sims.hook
 	got, err := Run(resumed)
 	if err != nil {

@@ -313,29 +313,23 @@ func (r *runner) sequence(cell Cell) (dataset.Sequence, error) {
 	return seq, nil
 }
 
-// instrument wraps a base evaluator with the test hook counting actual
-// pipeline simulations (applied under any memoisation, so cache hits
-// and checkpoint loads are never counted).
-func (r *runner) instrument(cell Cell, class string, eval hypermapper.Evaluator) hypermapper.Evaluator {
-	hook := r.opts.observeSimulation
-	if hook == nil {
-		return eval
+// evaluator builds one campaign evaluator: the cell's pipeline on seq
+// subsampled to stride (1 runs the full sequence), memoised in process
+// and backed by the persistent evaluation store when one is configured.
+// stride is part of every store key, so a subsampled result can never
+// answer a full-fidelity lookup. Under the memo sits the test hook that
+// counts actual pipeline simulations as class, so cache hits and
+// checkpoint loads are never counted. Every memo is registered so the
+// run's hit/miss counters can be aggregated into the result.
+func (r *runner) evaluator(cell Cell, seq dataset.Sequence, stride int, class string) *hypermapper.MemoEvaluator {
+	eval := core.NewEvaluator(r.space, slambench.Subsample(seq, stride), device.NewModel(cell.Target))
+	if hook := r.opts.observeSimulation; hook != nil {
+		base := eval
+		eval = func(pt hypermapper.Point) hypermapper.Metrics {
+			hook(cell.Index, class)
+			return base(pt)
+		}
 	}
-	idx := cell.Index
-	return func(pt hypermapper.Point) hypermapper.Metrics {
-		hook(idx, class)
-		return eval(pt)
-	}
-}
-
-// memo builds a cell evaluator's memoization stack: the in-process
-// memory layer, backed by the persistent evaluation store when one is
-// configured. stride is the fidelity the evaluator actually runs at —
-// 1 for full-sequence evaluation, the subsampling stride otherwise —
-// and is part of every store key, so a subsampled result can never
-// answer a full-fidelity lookup. Every memo is registered so the run's
-// hit/miss counters can be aggregated into the result.
-func (r *runner) memo(cell Cell, stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
 	var tier hypermapper.ResultTier
 	if r.evals != nil {
 		tier = r.evals.Scope(cell.Scenario.Scale.CacheKey(), deviceKey(cell.Target), stride)
@@ -411,9 +405,6 @@ func (r *runner) explore() error {
 		return r.exploreWave(allIndices(len(r.cells)), fidelity)
 	}
 	if err := r.exploreWave(r.anchors, fidelity); err != nil {
-		return err
-	}
-	if err := r.publishObsLogs(fidelity); err != nil {
 		return err
 	}
 	var borrowers []int
@@ -508,47 +499,14 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
-	model := device.NewModel(cell.Target)
-
-	var eval hypermapper.Evaluator
-	var ladder *hypermapper.MultiFidelity
-	switch {
-	case fidelity == FidelityScreen:
-		// Screening rung of the cell ladder: the whole exploration runs
-		// on the CellStride-subsampled sequence. No intra-cell ladder on
-		// top — the workload is already cheap by the stride.
-		view := slambench.Subsample(seq, r.opts.CellStride)
-		eval = r.memo(cell, r.opts.CellStride,
-			r.instrument(cell, simScreen, core.NewEvaluator(r.space, view, model))).Evaluate
-	case r.opts.FidelityStride > 1:
-		// Full fidelity with the intra-cell ladder; the WrapEval hook
-		// threads the simulation instrumentation under the memos and the
-		// Memo hook backs both rungs with the evaluation store, each at
-		// its own stride.
-		ladder, eval = core.NewMultiFidelityEvaluator(r.space, seq, model, core.FidelityOptions{
-			Stride:          r.opts.FidelityStride,
-			PromoteFraction: r.opts.PromoteFraction,
-			AccuracyLimit:   r.opts.AccuracyLimit,
-			Workers:         r.opts.Workers,
-			WrapEval: func(fidelity string, e hypermapper.Evaluator) hypermapper.Evaluator {
-				class := simFull
-				if fidelity == "low" {
-					class = simLadderLow
-				}
-				return r.instrument(cell, class, e)
-			},
-			Memo: func(fidelity string, e hypermapper.Evaluator) *hypermapper.MemoEvaluator {
-				stride := 1
-				if fidelity == "low" {
-					stride = r.opts.FidelityStride
-				}
-				return r.memo(cell, stride, e)
-			},
-		})
-	default:
-		eval = r.memo(cell, 1,
-			r.instrument(cell, simFull, core.NewEvaluator(r.space, seq, model))).Evaluate
+	// The screening rung of the cell ladder runs the whole exploration
+	// on the CellStride-subsampled sequence, with no intra-cell ladder on
+	// top — the workload is already cheap by the stride.
+	stride, class := 1, simFull
+	if fidelity == FidelityScreen {
+		stride, class = r.opts.CellStride, simScreen
 	}
+	eval := r.evaluator(cell, seq, stride, class).Evaluate
 
 	cfg := hypermapper.DefaultOptimizerConfig()
 	cfg.RandomSamples = r.opts.RandomSamples
@@ -558,7 +516,18 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	cfg.Workers = r.opts.Workers
 	cfg.ConstraintObjective = 1 // MaxATE
 	cfg.ConstraintLimit = r.opts.AccuracyLimit
-	if ladder != nil {
+	var ladder *hypermapper.MultiFidelity
+	if fidelity == FidelityFull && r.opts.FidelityStride > 1 {
+		// Full fidelity with the intra-cell ladder: every candidate is
+		// screened on the FidelityStride-subsampled sequence and only the
+		// promoted share runs on the full one.
+		ladder = &hypermapper.MultiFidelity{
+			Low:             r.evaluator(cell, seq, r.opts.FidelityStride, simLadderLow).Evaluate,
+			High:            eval,
+			PromoteFraction: r.opts.PromoteFraction,
+			Rank:            core.FidelityRank(r.opts.AccuracyLimit),
+			Workers:         r.opts.Workers,
+		}
 		cfg.BatchEval = ladder
 	}
 	// Warm-started borrower: concentrate a reduced seeding budget around
@@ -776,8 +745,7 @@ func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point) (
 	if err != nil {
 		return crossArtifact{}, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
-	memo := r.memo(cell, 1,
-		r.instrument(cell, simCross, core.NewEvaluator(r.space, seq, device.NewModel(cell.Target))))
+	memo := r.evaluator(cell, seq, 1, simCross)
 	if art := r.arts[j]; art.Fidelity == FidelityFull {
 		// The shared donor/preload filter (hypermapper.FullObservations)
 		// drops LowFidelity and Failed observations; MemoEvaluator.Preload

@@ -3,10 +3,7 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -204,33 +201,19 @@ func TestTransferDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTransferObsLogPersistedAndResumed: with a checkpoint store the
-// anchors publish obslog artifacts, and a resumed transfer campaign
-// replays from artifacts alone — zero simulations, byte-identical
-// report.
+// TestTransferObsLogPersistedAndResumed: a transfer campaign rerun over
+// its checkpoint store replays from artifacts alone — borrowers read
+// their donors' observations from the anchors' exploration artifacts —
+// with zero simulations and a byte-identical report.
 func TestTransferObsLogPersistedAndResumed(t *testing.T) {
 	dir := t.TempDir()
 	first, err := Run(transferOptions(2, true, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs, err := filepath.Glob(filepath.Join(dir, "obslog-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One observation log per anchor (cells 0 and 3).
-	if len(logs) != 2 {
-		entries, _ := os.ReadDir(dir)
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("store holds %d obslog artifacts, want 2 (dir: %s)", len(logs), strings.Join(names, ", "))
-	}
 
 	var sims simCounter
 	opts := transferOptions(2, true, dir)
-	opts.Resume = true
 	opts.observeSimulation = sims.hook
 	again, err := Run(opts)
 	if err != nil {

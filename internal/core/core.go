@@ -213,19 +213,6 @@ type FidelityOptions struct {
 	AccuracyLimit float64
 	// Workers bounds the ladder's evaluation parallelism.
 	Workers int
-	// WrapEval, when non-nil, wraps each rung's base evaluator before
-	// it is memoized — fidelity is "full" or "low". The campaign
-	// engine's simulation-counting instrumentation plugs in here;
-	// because the wrap sits under the memo, cache hits never pass
-	// through it.
-	WrapEval func(fidelity string, eval hypermapper.Evaluator) hypermapper.Evaluator
-	// Memo, when non-nil, constructs each rung's memo evaluator from
-	// its (already wrapped) base evaluator — fidelity is "full" or
-	// "low". The campaign engine plugs in here to back both rungs with
-	// the persistent evaluation store (a full-fidelity rung keyed at
-	// stride 1, a low rung at the ladder's stride); nil gets a plain
-	// in-memory hypermapper.NewMemoEvaluator.
-	Memo func(fidelity string, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator
 }
 
 // FidelityRank is the constraint-aware promotion ranking of the
@@ -260,20 +247,8 @@ func FidelityRank(limit float64) func(hypermapper.Metrics) float64 {
 // memoized full-fidelity evaluator for point queries (default marker,
 // random baselines) that should share the cache.
 func NewMultiFidelityEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts FidelityOptions) (ladder *hypermapper.MultiFidelity, full hypermapper.Evaluator) {
-	highBase := NewEvaluator(space, seq, model)
-	lowBase := NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model)
-	if opts.WrapEval != nil {
-		highBase = opts.WrapEval("full", highBase)
-		lowBase = opts.WrapEval("low", lowBase)
-	}
-	newMemo := opts.Memo
-	if newMemo == nil {
-		newMemo = func(_ string, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
-			return hypermapper.NewMemoEvaluator(eval)
-		}
-	}
-	high := newMemo("full", highBase)
-	low := newMemo("low", lowBase)
+	high := hypermapper.NewMemoEvaluator(NewEvaluator(space, seq, model))
+	low := hypermapper.NewMemoEvaluator(NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model))
 	var rank func(hypermapper.Metrics) float64
 	if opts.AccuracyLimit > 0 {
 		rank = FidelityRank(opts.AccuracyLimit)

@@ -472,7 +472,6 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	opts.CheckpointDir = filepath.Join(j.dir, storeDir)
-	opts.Resume = true
 	opts.WorkerID = "dseserve"
 	opts.EvalCacheDir = m.evalDir
 	opts.SeqCacheDir = m.seqDir
@@ -543,9 +542,9 @@ func (m *Manager) finishJob(j *Job, res *campaign.Result) {
 	}
 	j.mu.Lock()
 	j.repJSON, j.repCSV, j.repTable = js.Bytes(), cs.Bytes(), tb.Bytes()
-	j.evalSims, j.evalHits = rep.EvalSimulations, rep.EvalDiskHits
+	j.evalSims, j.evalHits = rep.Counters.EvalSimulations, rep.Counters.EvalDiskHits
 	j.mu.Unlock()
-	m.logf("job %s: done (evalstore simulations=%d disk-hits=%d)", j.id, rep.EvalSimulations, rep.EvalDiskHits)
+	m.logf("job %s: done (evalstore simulations=%d disk-hits=%d)", j.id, rep.Counters.EvalSimulations, rep.Counters.EvalDiskHits)
 	j.transition(StateDone, "")
 }
 

@@ -74,12 +74,12 @@ func TestSpecOptionsValidation(t *testing.T) {
 	}
 
 	bad := []CampaignSpec{
-		{Scenarios: []string{"lr_kt9"}},                              // unknown scenario
-		{Devices: []string{"nokia-3310"}},                            // unknown device
-		{Scenarios: []string{"lr_kt0", "lr_kt0"}},                    // duplicate scenario
-		{PromoteFraction: 1.5},                                       // fraction out of range
-		{CellPromoteFraction: 2},                                     // fraction out of range
-		{TransferSeeds: 2, Transfer: true},                           // below surrogate minimum
+		{Scenarios: []string{"lr_kt9"}},           // unknown scenario
+		{Devices: []string{"nokia-3310"}},         // unknown device
+		{Scenarios: []string{"lr_kt0", "lr_kt0"}}, // duplicate scenario
+		{PromoteFraction: 1.5},                    // fraction out of range
+		{CellPromoteFraction: 2},                  // fraction out of range
+		{TransferSeeds: 2, Transfer: true},        // below surrogate minimum
 		{Scenarios: []string{"lr_kt0"}, Devices: []string{"odroid-xu3", "odroid-xu3"}}, // duplicate device
 	}
 	for i, s := range bad {

@@ -144,52 +144,29 @@ type CampaignReport struct {
 	TransferAnchorFullEvals   int     `json:"transfer_anchor_full_evals,omitempty"`
 	TransferBorrowerFullEvals int     `json:"transfer_borrower_full_evals,omitempty"`
 	TransferSavingsPct        float64 `json:"transfer_savings_pct,omitempty"`
-	// SeqRenders / SeqDiskHits / SeqMemoryHits / SeqDegradations /
-	// SeqEvictions are this process's rendered-sequence cache counters.
-	// Renders counts actual renderer invocations, so summing SeqRenders
-	// over every cooperating process proves each distinct sequence was
-	// rendered exactly once per shared store. Execution provenance —
-	// the split between render, disk hit and memory hit depends on which
-	// process got to each sequence first — so the counters are excluded
-	// from the deterministic report writers and rendered only by
+	// Counters are this process's cache counters: the in-memory memo
+	// layer, the persistent evaluation store and the rendered-sequence
+	// cache. Summing EvalSimulations (or SeqRenders) over every
+	// cooperating process proves each distinct evaluation (or sequence)
+	// was simulated (or rendered) exactly once per shared store, and a
+	// warm re-run reporting EvalSimulations == 0 performed none at all.
+	// Execution provenance — the split between simulation, disk hit and
+	// memory hit depends on which process got to each key first and on
+	// how warm the stores were — so the counters are excluded from the
+	// deterministic report writers and rendered by
 	// WriteCampaignProvenance.
-	SeqRenders      int `json:"-"`
-	SeqDiskHits     int `json:"-"`
-	SeqMemoryHits   int `json:"-"`
-	SeqDegradations int `json:"-"`
-	SeqEvictions    int `json:"-"`
-	// EvalSimulations / EvalDiskHits / EvalPublished / EvalDegradations
-	// / EvalEvictions are this process's persistent evaluation-store
-	// counters. Simulations counts actual pipeline simulations issued
-	// through the store, so summing EvalSimulations over every
-	// cooperating process proves each distinct (configuration, sequence,
-	// device, fidelity) was simulated exactly once per shared store — and
-	// a warm re-run reporting EvalSimulations == 0 performed none at all.
-	// Execution provenance like the sequence-cache counters (a warm store
-	// answers from disk what a cold one simulates), so they are excluded
-	// from the deterministic report writers and rendered by
-	// WriteCampaignProvenance — and, opt-in, by the Caches JSON summary.
-	EvalSimulations  int `json:"-"`
-	EvalDiskHits     int `json:"-"`
-	EvalPublished    int `json:"-"`
-	EvalDegradations int `json:"-"`
-	EvalEvictions    int `json:"-"`
-	// MemoHits / MemoMisses aggregate the in-memory memoization layer
-	// over every evaluator the campaign built. Execution provenance like
-	// the store counters (concurrent first sightings of a key coalesce).
-	MemoHits   int `json:"-"`
-	MemoMisses int `json:"-"`
-	// Caches, when non-nil, renders the full cache-counter summary into
-	// the JSON report (campaign.Options.CacheStats opts in). Nil by
-	// default — the counters differ between cold, warm and multi-worker
-	// runs of one campaign, and the default JSON surface must stay
-	// byte-identical across all of them.
+	Counters CampaignCacheSummary `json:"-"`
+	// Caches, when non-nil, points at Counters to render them into the
+	// JSON report (campaign.Options.CacheStats opts in). Nil by default —
+	// the counters differ between cold, warm and multi-worker runs of one
+	// campaign, and the default JSON surface must stay byte-identical
+	// across all of them.
 	Caches *CampaignCacheSummary `json:"caches,omitempty"`
 }
 
-// CampaignCacheSummary is the opt-in JSON rendering of a campaign's
-// cache counters: the in-memory memo layer, the persistent evaluation
-// store and the rendered-sequence cache.
+// CampaignCacheSummary holds a campaign's cache counters: the in-memory
+// memo layer, the persistent evaluation store and the rendered-sequence
+// cache. Its JSON form is the opt-in "caches" report section.
 type CampaignCacheSummary struct {
 	MemoHits         int `json:"memo_hits"`
 	MemoMisses       int `json:"memo_misses"`
@@ -347,15 +324,16 @@ func WriteCampaignProvenance(w io.Writer, r *CampaignReport) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	c := r.Counters
 	if _, err := fmt.Fprintf(w, "seqcache: renders=%d disk-hits=%d memory-hits=%d degradations=%d evictions=%d\n",
-		r.SeqRenders, r.SeqDiskHits, r.SeqMemoryHits, r.SeqDegradations, r.SeqEvictions); err != nil {
+		c.SeqRenders, c.SeqDiskHits, c.SeqMemoryHits, c.SeqDegradations, c.SeqEvictions); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "evalstore: simulations=%d disk-hits=%d published=%d degradations=%d evictions=%d\n",
-		r.EvalSimulations, r.EvalDiskHits, r.EvalPublished, r.EvalDegradations, r.EvalEvictions); err != nil {
+		c.EvalSimulations, c.EvalDiskHits, c.EvalPublished, c.EvalDegradations, c.EvalEvictions); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "memo: hits=%d misses=%d\n", r.MemoHits, r.MemoMisses)
+	_, err := fmt.Fprintf(w, "memo: hits=%d misses=%d\n", c.MemoHits, c.MemoMisses)
 	return err
 }
 

@@ -15,7 +15,8 @@ func TestWriteCampaignProvenanceSeqCache(t *testing.T) {
 	r := testCampaignReport()
 	r.Cells[0].SeqSource = "cache"
 	r.Cells[1].SeqSource = "inline"
-	r.SeqRenders, r.SeqDiskHits, r.SeqMemoryHits, r.SeqDegradations, r.SeqEvictions = 2, 1, 5, 1, 3
+	c := &r.Counters
+	c.SeqRenders, c.SeqDiskHits, c.SeqMemoryHits, c.SeqDegradations, c.SeqEvictions = 2, 1, 5, 1, 3
 
 	var buf bytes.Buffer
 	if err := WriteCampaignProvenance(&buf, r); err != nil {
