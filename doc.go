@@ -55,8 +55,8 @@
 // binary encoding of the point, so any configuration re-sampled across
 // phases (active batches, random-only baselines, headline re-runs) is
 // simulated once. A hypermapper.MultiFidelity batch evaluator —
-// plugged into OptimizerConfig.BatchEval, built by
-// core.NewMultiFidelityEvaluator over slambench.Subsample — screens
+// plugged into OptimizerConfig.BatchEval, built over
+// slambench.Subsample by core.RunFig2 and the campaign — screens
 // every batch candidate on a frame-subsampled sequence and promotes
 // only the top-ranked fraction to full-fidelity runs; both rungs are
 // memoized and the promotion ranking breaks ties by batch position, so
@@ -98,9 +98,10 @@
 // minimum worst-case per-cell rank, then rank sum — which quantifies
 // the paper's "one configuration does not fit all scenes" point.
 //
-// With -campaign-checkpoint the artifacts persist: one versioned JSON
-// file per cell per stage (campaign.Store — a JSON envelope codec over
-// the internal/sharedfs compute-once store), named by the stage kind,
+// With -campaign-checkpoint the artifacts persist: one checksummed
+// `.ckp` file per cell per stage (campaign.Store — JSON payloads sealed
+// in the sharedfs.Frame, over the internal/sharedfs compute-once
+// store), named by the stage kind,
 // the grid index and a content hash of the cell spec + seed + the
 // options that determine the artifact's bytes, so a matching artifact
 // is always safe to load: a killed campaign rerun with the same
@@ -159,8 +160,9 @@
 // the whole consistency protocol. Artifacts are a versioned binary
 // encoding of the frames (raw float32 depth, raw float64 poses —
 // nothing quantised, so a cached campaign's report is byte-identical
-// to an uncached one) with an embedded sha256 checksum, written
-// atomically (temp file + rename) and verified on every load.
+// to an uncached one) sealed in the sharedfs.Frame (embedded key,
+// sha256 checksum), written atomically (temp file + rename) and
+// verified on every load.
 //
 // Reads degrade down a strict ladder, and no rung is ever fatal to the
 // campaign: an in-process memory hit, else a checksum-verified disk
@@ -187,9 +189,10 @@
 // immutable in-memory sequence). -campaign-seq-cache-max-mb bounds the
 // store with deterministic lexicographic eviction. Stale temp files
 // and orphaned leases are swept on open. The cache, the evaluation
-// store and the checkpoint store are three codecs over one sharedfs
-// compute-once store, so their load, lease, retry, fault-injection,
-// sweep and eviction behaviour is one implementation.
+// store and the checkpoint store are three payload codecs over one
+// sharedfs compute-once store and one artifact frame, so their framing,
+// verification, load, lease, retry, fault-injection, sweep and
+// eviction behaviour is one implementation.
 // `make campaign-cache-smoke` enforces the end-to-end claim in CI: two
 // processes share checkpoint + cache, one is SIGKILLed and one artifact
 // is corrupted in place mid-run, and the survivor's report must still
@@ -268,8 +271,8 @@
 // normalised, NaN rejected, prefix-free, ordinals by index) plus a
 // scope prefix naming everything else that determines the result: the
 // scenario's core.Scale.CacheKey, the device profile, the sampling
-// stride and a format version. Records are small versioned binaries
-// with an embedded sha256, written atomically (temp file + rename)
+// stride and a format version. Records are small binaries sealed in
+// the sharedfs.Frame, written atomically (temp file + rename)
 // into fan-out shards; failed evaluations persist as failed records
 // (the evaluator's verdict is deterministic), while low-fidelity
 // results are never published and never satisfy a lookup — the stride

@@ -11,9 +11,9 @@
 //	Plan → Explore → Promote → CrossMeasure → Aggregate
 //
 // Every stage consumes and emits serialisable per-cell artifacts. With
-// Options.CheckpointDir set the artifacts are persisted — one versioned
-// JSON file per cell, keyed by a content hash of the cell spec, seed
-// and options (see Store) — and loaded back whenever they match, so a
+// Options.CheckpointDir set the artifacts are persisted — one versioned,
+// checksummed file per cell, keyed by a content hash of the cell spec,
+// seed and options (see Store) — and loaded back whenever they match, so a
 // campaign killed at any point restarts from its completed cells and a
 // changed option automatically invalidates stale artifacts. The Explore
 // stage runs each cell's constrained Fig2-style exploration; with
@@ -194,7 +194,9 @@ type Options struct {
 	// campaign result is identical for any value.
 	Workers int
 	// FidelityStride > 1 enables the multi-fidelity ladder inside every
-	// full-fidelity cell exploration (see core.FidelityOptions).
+	// full-fidelity cell exploration: a stride-subsampled screening pass
+	// ranked by core.FidelityRank, then full fidelity for the promoted
+	// share.
 	FidelityStride int
 	// PromoteFraction is the intra-cell ladder's promoted share per
 	// batch.
@@ -235,8 +237,8 @@ type Options struct {
 	// so default reports keep their byte surface.
 	Knowledge bool
 	// CheckpointDir, when non-empty, persists every stage's per-cell
-	// artifacts into this directory (created if needed) as versioned
-	// JSON files keyed by content hashes of the cell spec + seed +
+	// artifacts into this directory (created if needed) as versioned,
+	// checksummed files keyed by content hashes of the cell spec + seed +
 	// options, and loads every matching artifact instead of recomputing
 	// it, so completed work survives a kill: rerunning a campaign over
 	// the same directory continues it with zero re-simulation. Artifacts
@@ -272,7 +274,7 @@ type Options struct {
 	SeqCacheDir string
 	// SeqCacheMaxBytes bounds the sequence cache's on-disk size (0 =
 	// unbounded); over-budget artifacts are evicted deterministically in
-	// lexicographic key order, newest write exempt.
+	// lexicographic key order, newest write exempt. Requires SeqCacheDir.
 	SeqCacheMaxBytes int64
 	// EvalCacheDir, when non-empty, persists every simulation result
 	// into the content-addressed evaluation store of internal/evalstore
@@ -417,6 +419,9 @@ func (o Options) Validate() error {
 	}
 	if o.EvalCacheMaxBytes < 0 {
 		return fmt.Errorf("campaign: negative eval cache size %d", o.EvalCacheMaxBytes)
+	}
+	if o.SeqCacheMaxBytes > 0 && o.SeqCacheDir == "" {
+		return errors.New("campaign: SeqCacheMaxBytes without SeqCacheDir bounds nothing")
 	}
 	if o.EvalCacheMaxBytes > 0 && o.EvalCacheDir == "" {
 		return errors.New("campaign: EvalCacheMaxBytes without EvalCacheDir bounds nothing")

@@ -136,6 +136,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative cell stride", func(o *Options) { o.CellStride = -2 }},
 		{"negative accuracy limit", func(o *Options) { o.AccuracyLimit = -1 }},
 		{"negative seq cache size", func(o *Options) { o.SeqCacheMaxBytes = -1 }},
+		{"seq cache bound without seq cache", func(o *Options) { o.SeqCacheMaxBytes = 1 << 20 }},
 	}
 	for _, c := range cases {
 		bad := ok

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,22 +15,60 @@ import (
 	"slamgo/internal/sharedfs"
 )
 
+// errNotLoaded is load's compute: reaching it means the artifact missed.
+var errNotLoaded = errors.New("artifact not loaded")
+
+// load resolves name through checkpointed over store (Store.Get with
+// the checkpoint codec) without computing: it reports whether the
+// artifact loaded into out, or the real I/O error that stopped it.
+func load[T any](store *Store, name string, out *T) (bool, error) {
+	v, hit, err := checkpointed(&runner{store: store}, name, func(T) bool { return true }, func() (T, error) {
+		var zero T
+		return zero, errNotLoaded
+	})
+	if errors.Is(err, errNotLoaded) {
+		return false, nil
+	}
+	if hit {
+		*out = v
+	}
+	return hit, err
+}
+
 // loadHit loads name and fails the test on a real I/O error; it returns
 // whether the load was a hit.
-func loadHit(t *testing.T, store *Store, name string, out any) bool {
+func loadHit[T any](t *testing.T, store *Store, name string, out *T) bool {
 	t.Helper()
-	ok, err := store.Load(name, out)
+	ok, err := load(store, name, out)
 	if err != nil {
-		t.Fatalf("Load(%s): %v", name, err)
+		t.Fatalf("load(%s): %v", name, err)
 	}
 	return ok
 }
 
-func TestStoreRoundTrip(t *testing.T) {
-	store, err := OpenStore(filepath.Join(t.TempDir(), "ckpt"))
+// save publishes payload as name's artifact through Store.Put,
+// replacing any earlier one, sealed as checkpointed seals what it
+// computes.
+func save(store *Store, name string, payload any) error {
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return err
+	}
+	return store.Put(name, checkpointFrame.Seal(name, raw))
+}
+
+// openDir opens a checkpoint store over dir with default plumbing.
+func openDir(t *testing.T, dir string) *Store {
+	t.Helper()
+	store, err := openStore(sharedfs.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+func TestStoreRoundTrip(t *testing.T) {
+	store := openDir(t, filepath.Join(t.TempDir(), "ckpt"))
 	art := &cellArtifact{
 		Scenario: "lr_kt0", Device: "odroid-xu3", Fidelity: FidelityFull,
 		Observations: []hypermapper.Observation{
@@ -41,7 +81,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	art.Front = art.Observations[:1]
 	art.BestFeasible, art.HasBestFeasible = art.Observations[0], true
 
-	if err := store.Save("full-c000-abc", art); err != nil {
+	if err := save(store, "full-c000-abc", art); err != nil {
 		t.Fatal(err)
 	}
 	var back cellArtifact
@@ -58,56 +98,58 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestStoreMisses proves every data-defect shape is a miss (false, nil)
 // — safe to recompute — never an error and never bad data.
 func TestStoreMisses(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openDir(t, filepath.Join(t.TempDir(), "ckpt"))
 	var out cellArtifact
 	if loadHit(t, store, "absent", &out) {
 		t.Fatal("absent artifact loaded")
 	}
 	// Corrupt file: a kill mid-write (pre-rename this cannot happen, but
-	// a damaged disk can) must be a miss, not an error or bad data.
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte("{notjson"), 0o644); err != nil {
+	// a damaged disk can) must be a miss, not an error or bad data —
+	// whether the frame or only the JSON inside it is damaged.
+	if err := os.WriteFile(store.Path("broken"), []byte("{notjson"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if loadHit(t, store, "broken", &out) {
 		t.Fatal("corrupt artifact loaded")
 	}
-	// Truncated artifact: valid JSON prefix torn mid-payload (the torn
-	// write FaultShortWrite simulates) must be a miss too.
-	if err := store.Save("torn", &cellArtifact{Scenario: "lr_kt1"}); err != nil {
+	if err := store.Put("broken", checkpointFrame.Seal("broken", []byte("{notjson"))); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "torn.json"))
+	if loadHit(t, store, "broken", &out) {
+		t.Fatal("sealed corrupt payload loaded")
+	}
+	// Truncated artifact: a prefix torn mid-payload (the torn write
+	// FaultShortWrite simulates) must be a miss too.
+	if err := save(store, "torn", &cellArtifact{Scenario: "lr_kt1"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(store.Path("torn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "torn.json"), data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(store.Path("torn"), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if loadHit(t, store, "torn", &out) {
 		t.Fatal("truncated artifact loaded")
 	}
 	// A file copied to the wrong name must not load under that name.
-	if err := store.Save("right-name", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
+	if err := save(store, "right-name", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
 		t.Fatal(err)
 	}
-	data, err = os.ReadFile(filepath.Join(dir, "right-name.json"))
+	data, err = os.ReadFile(store.Path("right-name"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "wrong-name.json"), data, 0o644); err != nil {
+	if err := os.WriteFile(store.Path("wrong-name"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if loadHit(t, store, "wrong-name", &out) {
 		t.Fatal("renamed artifact loaded under the wrong name")
 	}
 	// A version bump orphans old artifacts.
-	env := envelope{Version: storeVersion + 1, Name: "future"}
-	raw, _ := json.Marshal(env)
-	if err := os.WriteFile(filepath.Join(dir, "future.json"), raw, 0o644); err != nil {
+	future := sharedfs.Frame{Magic: checkpointFrame.Magic, Version: storeVersion + 1}
+	if err := store.Put("future", future.Seal("future", []byte(`{"scenario":"lr_kt0"}`))); err != nil {
 		t.Fatal(err)
 	}
 	if loadHit(t, store, "future", &out) {
@@ -115,22 +157,57 @@ func TestStoreMisses(t *testing.T) {
 	}
 }
 
+// TestStoreBitFlipIsRecomputed flips one payload digit of a published
+// checkpoint artifact — 17 evaluations become 71, still valid JSON —
+// and requires the checksum to turn it into a miss that recomputes and
+// republishes the true value, never a hit carrying the flipped one.
+func TestStoreBitFlipIsRecomputed(t *testing.T) {
+	store := openDir(t, filepath.Join(t.TempDir(), "ckpt"))
+	r := &runner{store: store}
+	computes := 0
+	get := func() (cellArtifact, bool) {
+		t.Helper()
+		art, hit, err := checkpointed(r, "flip", func(cellArtifact) bool { return true }, func() (cellArtifact, error) {
+			computes++
+			return cellArtifact{Scenario: "lr_kt0", Evaluations: 17}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art, hit
+	}
+	get()
+	data, err := os.ReadFile(store.Path("flip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Replace(data, []byte(`"evaluations":17`), []byte(`"evaluations":71`), 1)
+	if bytes.Equal(flipped, data) {
+		t.Fatal("payload digit not found in the artifact")
+	}
+	if err := os.WriteFile(store.Path("flip"), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if art, hit := get(); hit || art.Evaluations != 17 || computes != 2 {
+		t.Fatalf("flipped artifact: hit=%v evaluations=%d computes=%d, want a miss recomputing 17", hit, art.Evaluations, computes)
+	}
+	if art, hit := get(); !hit || art.Evaluations != 17 || computes != 2 {
+		t.Fatalf("repaired artifact: hit=%v evaluations=%d computes=%d, want a hit of 17", hit, art.Evaluations, computes)
+	}
+}
+
 // TestStoreLoadRealError proves an I/O fault that is not a data defect
 // surfaces as an error, not a miss: a miss means "recompute", and
 // recomputing over a faulting store would silently discard work.
 func TestStoreLoadRealError(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openDir(t, filepath.Join(t.TempDir(), "ckpt"))
 	// A directory squatting on the artifact path: ReadFile fails with a
 	// real error (EISDIR) that is not fs.ErrNotExist.
-	if err := os.Mkdir(filepath.Join(dir, "blocked.json"), 0o755); err != nil {
+	if err := os.Mkdir(store.Path("blocked"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var out cellArtifact
-	ok, err := store.Load("blocked", &out)
+	ok, err := load(store, "blocked", &out)
 	if ok {
 		t.Fatal("directory loaded as artifact")
 	}
@@ -144,14 +221,13 @@ func TestStoreLoadRealError(t *testing.T) {
 // a shared store directory would accumulate across worker crashes.
 func TestStoreSaveLeavesNoTempFiles(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	store, err := OpenStore(dir)
-	if err != nil {
+	store := openDir(t, dir)
+	if err := save(store, "good", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save("good", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save("bad", func() {}); err == nil { // func marshals to an error
+	r := &runner{store: store}
+	unmarshalable := func() (func(), error) { return func() {}, nil } // func marshals to an error
+	if _, _, err := checkpointed(r, "bad", func(func()) bool { return true }, unmarshalable); err == nil {
 		t.Fatal("unmarshalable payload saved")
 	}
 	entries, err := os.ReadDir(dir)
@@ -170,10 +246,7 @@ func TestStoreSaveLeavesNoTempFiles(t *testing.T) {
 // directory contract, minus the processes. Run under -race; every
 // successful load must see a complete, correct artifact.
 func TestStoreConcurrentSaveLoad(t *testing.T) {
-	store, err := OpenStore(filepath.Join(t.TempDir(), "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openDir(t, filepath.Join(t.TempDir(), "ckpt"))
 	art := &cellArtifact{Scenario: "lr_kt2", Device: "odroid-xu3", Fidelity: FidelityFull, Evaluations: 7}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -181,8 +254,8 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := store.Save("contended", art); err != nil {
-					t.Errorf("Save: %v", err)
+				if err := save(store, "contended", art); err != nil {
+					t.Errorf("save: %v", err)
 					return
 				}
 			}
@@ -192,9 +265,9 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				var out cellArtifact
-				ok, err := store.Load("contended", &out)
+				ok, err := load(store, "contended", &out)
 				if err != nil {
-					t.Errorf("Load: %v", err)
+					t.Errorf("load: %v", err)
 					return
 				}
 				if ok && (out.Scenario != "lr_kt2" || out.Evaluations != 7) {
@@ -208,7 +281,7 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 }
 
 func TestOpenStoreRejectsEmptyDir(t *testing.T) {
-	if _, err := OpenStore(""); err == nil {
+	if _, err := openStore(sharedfs.Config{}); err == nil {
 		t.Fatal("empty checkpoint directory accepted")
 	}
 }
@@ -216,15 +289,12 @@ func TestOpenStoreRejectsEmptyDir(t *testing.T) {
 // TestOpenStoreSweepsDebris seeds the checkpoint directory with the
 // litter a SIGKILLed worker leaves behind — an aged half-written temp
 // file and a lease whose holder's heartbeat is long past — and pins
-// that OpenStore removes exactly that: fresh temp files (a live
+// that openStore removes exactly that: fresh temp files (a live
 // writer's rename in flight) and real artifacts must survive the sweep.
 func TestOpenStoreSweepsDebris(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save("artifact", map[string]int{"x": 1}); err != nil {
+	store := openDir(t, dir)
+	if err := save(store, "artifact", map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,9 +317,7 @@ func TestOpenStoreSweepsDebris(t *testing.T) {
 		t.Fatalf("seeding dead worker's lease: ok=%v err=%v", ok, err)
 	}
 
-	if _, err := OpenStore(dir); err != nil {
-		t.Fatal(err)
-	}
+	openDir(t, dir)
 	for _, gone := range []string{staleTmp, filepath.Join(dir, "cell-0.lease")} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("debris %s survived the open (stat err %v)", filepath.Base(gone), err)

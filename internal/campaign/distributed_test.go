@@ -157,16 +157,17 @@ func TestWorkerLoadsPeerResult(t *testing.T) {
 	}
 	// …and publishes its artifact shortly after the worker starts
 	// polling, exactly as a slower peer would (copy + atomic rename, the
-	// same publication discipline Store.Save uses).
+	// same publication discipline Store.Put uses).
+	refPath := openDir(t, refDir).Path(name0)
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		data, err := os.ReadFile(filepath.Join(refDir, name0+".json"))
+		data, err := os.ReadFile(refPath)
 		if err != nil {
 			return
 		}
 		tmp := filepath.Join(dir, ".tmp-peer-artifact")
 		if os.WriteFile(tmp, data, 0o644) == nil {
-			os.Rename(tmp, filepath.Join(dir, name0+".json"))
+			os.Rename(tmp, r.store.Path(name0))
 		}
 	}()
 

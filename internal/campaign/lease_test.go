@@ -98,11 +98,8 @@ func TestCorruptLeaseExpires(t *testing.T) {
 // shadows the artifact of its name nor loads as one of its own.
 func TestLeaseFilesInvisibleToStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save("art", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
+	store := openDir(t, dir)
+	if err := save(store, "art", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
 		t.Fatal(err)
 	}
 	m := sharedfs.NewLeaseManager(dir, "w", time.Minute, nil)

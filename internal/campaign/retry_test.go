@@ -41,8 +41,8 @@ func TestRetryPolicyDelayCaps(t *testing.T) {
 	var slept []time.Duration
 	s := openRecordedStore(t, &slept)
 	s.InjectFaults(sharedfs.FaultPlan{Save: everyAttempt(sharedfs.FaultWriteError)})
-	if err := s.Save("x", 1); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Save = %v, want wrapped ENOSPC", err)
+	if err := save(s, "x", 1); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("save = %v, want wrapped ENOSPC", err)
 	}
 	p := sharedfs.DefaultRetryPolicy()
 	if len(slept) == 0 {
@@ -71,14 +71,14 @@ func TestRetryPolicyDelayCaps(t *testing.T) {
 func TestRetryStoreExhaustsDeterministically(t *testing.T) {
 	var slept []time.Duration
 	s := openRecordedStore(t, &slept)
-	if err := s.Save("x", 1); err != nil {
+	if err := save(s, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	s.InjectFaults(sharedfs.FaultPlan{Load: everyAttempt(sharedfs.FaultReadError)})
 	var got int
-	ok, err := s.Load("x", &got)
+	ok, err := load(s, "x", &got)
 	if ok || !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Load = %v, %v; want wrapped EIO", ok, err)
+		t.Fatalf("load = %v, %v; want wrapped EIO", ok, err)
 	}
 	if n := s.Injected(); n != 5 {
 		t.Fatalf("load attempts = %d, want 5 (policy attempts)", n)

@@ -199,29 +199,12 @@ func NewEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.
 	}
 }
 
-// FidelityOptions configure the multi-fidelity evaluation ladder.
-type FidelityOptions struct {
-	// Stride subsamples the sequence for the low-fidelity pass; values
-	// ≤ 1 disable the ladder (every evaluation runs at full fidelity).
-	Stride int
-	// PromoteFraction is the share of each batch promoted to a
-	// full-fidelity run (default 0.25).
-	PromoteFraction float64
-	// AccuracyLimit, when > 0, makes the promotion ranking
-	// constraint-aware: candidates whose low-fidelity max ATE exceeds
-	// the limit rank behind every feasible one.
-	AccuracyLimit float64
-	// Workers bounds the ladder's evaluation parallelism.
-	Workers int
-}
-
 // FidelityRank is the constraint-aware promotion ranking of the
 // multi-fidelity ladder (lower is more promising): failed runs rank
 // last, candidates whose low-fidelity max ATE exceeds the limit rank
 // behind every feasible one (closest to the bound first), and feasible
-// candidates rank by runtime. It is shared by the intra-cell ladder
-// (NewMultiFidelityEvaluator) and the campaign engine's cell
-// explorations so both promote identically.
+// candidates rank by runtime. RunFig2's ladder and the campaign
+// engine's ladders share it so they all promote identically.
 func FidelityRank(limit float64) func(hypermapper.Metrics) float64 {
 	return func(m hypermapper.Metrics) float64 {
 		switch {
@@ -235,29 +218,4 @@ func FidelityRank(limit float64) func(hypermapper.Metrics) float64 {
 			return m.Runtime
 		}
 	}
-}
-
-// NewMultiFidelityEvaluator builds the evaluation ladder over the DSE
-// space: a memoized low-fidelity evaluator on the stride-subsampled
-// sequence screens every candidate, and a memoized full-fidelity
-// evaluator measures only the promoted share of each batch. Both memos
-// are content-addressed on the encoded point, so no configuration is
-// ever simulated twice at the same fidelity. The returned MultiFidelity
-// plugs into hypermapper.OptimizerConfig.BatchEval; full is the
-// memoized full-fidelity evaluator for point queries (default marker,
-// random baselines) that should share the cache.
-func NewMultiFidelityEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts FidelityOptions) (ladder *hypermapper.MultiFidelity, full hypermapper.Evaluator) {
-	high := hypermapper.NewMemoEvaluator(NewEvaluator(space, seq, model))
-	low := hypermapper.NewMemoEvaluator(NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model))
-	var rank func(hypermapper.Metrics) float64
-	if opts.AccuracyLimit > 0 {
-		rank = FidelityRank(opts.AccuracyLimit)
-	}
-	return &hypermapper.MultiFidelity{
-		Low:             low.Evaluate,
-		High:            high.Evaluate,
-		PromoteFraction: opts.PromoteFraction,
-		Rank:            rank,
-		Workers:         opts.Workers,
-	}, high.Evaluate
 }

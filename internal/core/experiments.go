@@ -128,17 +128,19 @@ func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 	// memo, so a configuration re-sampled anywhere in the experiment —
 	// active batches, the random-only baseline, the default marker — is
 	// simulated exactly once.
-	var eval hypermapper.Evaluator
+	eval := hypermapper.NewMemoEvaluator(NewEvaluator(space, seq, model)).Evaluate
+	// The multi-fidelity ladder: a memoized low-fidelity evaluator on the
+	// stride-subsampled sequence screens every batch candidate, and only
+	// the promoted share reaches the full-fidelity memo.
 	var ladder *hypermapper.MultiFidelity
 	if opts.FidelityStride > 1 {
-		ladder, eval = NewMultiFidelityEvaluator(space, seq, model, FidelityOptions{
-			Stride:          opts.FidelityStride,
+		ladder = &hypermapper.MultiFidelity{
+			Low:             hypermapper.NewMemoEvaluator(NewEvaluator(space, slambench.Subsample(seq, opts.FidelityStride), model)).Evaluate,
+			High:            eval,
 			PromoteFraction: opts.PromoteFraction,
-			AccuracyLimit:   opts.AccuracyLimit,
+			Rank:            FidelityRank(opts.AccuracyLimit),
 			Workers:         opts.Workers,
-		})
-	} else {
-		eval = hypermapper.NewMemoEvaluator(NewEvaluator(space, seq, model)).Evaluate
+		}
 	}
 
 	cfg := hypermapper.DefaultOptimizerConfig()

@@ -12,11 +12,12 @@
 // campaigns sharing a store directory each simulate a distinct
 // configuration exactly once, anywhere.
 //
-// The store is the EVR1 codec (format.go) and a sharded key schema —
-// `<shard>/<key>.evr`, see Scope — over the sharedfs compute-once
-// Store, whose package comment describes the ladder, its crash-safety
-// contract and the Inline failure policy this store runs with: every
-// store failure degrades to inline simulation, logged and counted in
+// The store is the EVR1 payload codec (format.go), sealed in the
+// sharedfs.Frame, and a sharded key schema — `<shard>/<key>.evr`, see
+// Scope — over the sharedfs compute-once Store, whose package comment
+// describes the frame, the ladder, its crash-safety contract and the
+// Inline failure policy this store runs with: every store failure
+// degrades to inline simulation, logged and counted in
 // Stats.Degradations, never fatal. The store can lose every byte it owns
 // and the campaign still completes with an identical report, just
 // slower.
@@ -121,7 +122,7 @@ func (s *Store) Scope(seqKey, device string, stride int) *Scope {
 		stride = 1
 	}
 	prefix := fmt.Sprintf("evalstore-v%d|seq=%s|dev=%s|stride=%d|",
-		formatVersion, seqKey, device, stride)
+		frame.Version, seqKey, device, stride)
 	return &Scope{store: s, prefix: []byte(prefix)}
 }
 
@@ -164,12 +165,14 @@ func (sc *Scope) Evaluate(pt hypermapper.Point, simulate hypermapper.Evaluator) 
 	key := sc.Key(pt)
 	// Inline policy: Get's only error would be simulate's, which has none.
 	sc.store.fs.Get(key, func(data []byte) error {
-		got, rec, err := Decode(data)
+		payload, err := frame.OpenKey(key, data)
+		if err != nil {
+			return err
+		}
+		rec, err := decodeMetrics(payload)
 		switch {
 		case err != nil:
 			return err
-		case got != key:
-			return fmt.Errorf("record is keyed %s (misfiled)", got)
 		case rec.LowFidelity:
 			// Defence in depth: the store never publishes such a record,
 			// so it is a defect and must never answer a lookup.

@@ -3,6 +3,7 @@ package evalstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -94,6 +95,24 @@ func TestEncodeDecodeRoundtripBitExact(t *testing.T) {
 	}
 }
 
+// TestEncodeGoldenBytes pins the EVR1 record bytes of fixed metrics to
+// a digest of the format as first released: a store directory written
+// by any earlier build must keep loading as hits.
+func TestEncodeGoldenBytes(t *testing.T) {
+	const want = "f781a2594cb2a813be0a9f03f896af3145a57f7b059be7c4ad6784604dd89574"
+	h := sha256.New()
+	for _, m := range []hypermapper.Metrics{
+		{Runtime: 0.0123, MaxATE: 0.456, Power: 2.5, Energy: 7.875},
+		{Failed: true},
+		{Runtime: 0.5, LowFidelity: true},
+	} {
+		h.Write(Encode("ev-0123456789abcdef0123456789abcdef01234567", m))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("EVR1 bytes changed: sha256 %s, want %s", got, want)
+	}
+}
+
 func TestDecodeRejectsEveryDefect(t *testing.T) {
 	good := Encode("k", hypermapper.Metrics{Runtime: 1})
 	damage := map[string][]byte{
@@ -110,12 +129,12 @@ func TestDecodeRejectsEveryDefect(t *testing.T) {
 	// A version bump orphans old records (checksum re-stamped so only
 	// the version check can reject it).
 	restamp := func(mut func(body []byte)) []byte {
-		body := append([]byte{}, good[:len(good)-checksumSize]...)
+		body := append([]byte{}, good[:len(good)-sha256.Size]...)
 		mut(body)
 		sum := sha256.Sum256(body)
 		return append(body, sum[:]...)
 	}
-	if _, _, err := Decode(restamp(func(b []byte) { b[len(formatMagic)]++ })); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, _, err := Decode(restamp(func(b []byte) { b[len(frame.Magic)]++ })); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("version mismatch not rejected: %v", err)
 	}
 	// Unknown flag bits are future semantics this version cannot trust.

@@ -1,13 +1,12 @@
 package evalstore
 
 import (
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"slamgo/internal/hypermapper"
+	"slamgo/internal/sharedfs"
 )
 
 // The evaluation-record format. A record is the full Metrics of one
@@ -17,33 +16,24 @@ import (
 // diverge in their last floating-point bits and the reports stop
 // matching.
 //
-// Layout (all little-endian):
+// A record is this payload sealed in the sharedfs.Frame (magic "EVR1",
+// version 1), which embeds the key and checksums everything. Payload
+// layout (all little-endian):
 //
-//	magic "EVR1" | u32 version | u32 len(key) | key
 //	f64 runtime | f64 maxATE | f64 power | f64 energy
 //	u8 flags (1 Failed, 2 LowFidelity)
-//	sha256 of everything above (32 bytes)
 //
-// The embedded key makes a record copied or renamed to the wrong slot
-// unloadable as something it is not (same trick as the checkpoint
-// store's envelope and the seqcache artifact); the trailing checksum
-// catches truncation, torn writes and bit rot. Decode treats *every*
-// defect as data damage — the caller maps that to a miss and
-// re-simulates, because re-simulating is always safe while trusting a
-// damaged record never is.
+// Decoding treats *every* defect as data damage — the caller maps that
+// to a miss and re-simulates, because re-simulating is always safe
+// while trusting a damaged record never is.
+
+var frame = sharedfs.Frame{Magic: "EVR1", Version: 1}
 
 const (
-	formatMagic   = "EVR1"
-	formatVersion = 1
-
 	flagFailed      = 1
 	flagLowFidelity = 2
 
-	checksumSize = 32
-
-	// Sanity cap applied before any allocation during decode, so a
-	// corrupt length field costs an error, not an OOM.
-	maxKeyLen = 1 << 10
+	payloadSize = 4*8 + 1
 )
 
 // Encode serialises one evaluation record keyed by key. Encoding is a
@@ -52,11 +42,7 @@ const (
 // what makes concurrent store writers benign: the last atomic rename
 // wins and the winner is indistinguishable from the loser.
 func Encode(key string, m hypermapper.Metrics) []byte {
-	buf := make([]byte, 0, len(formatMagic)+4+4+len(key)+4*8+1+checksumSize)
-	buf = append(buf, formatMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
+	buf := make([]byte, 0, payloadSize)
 	for _, v := range [4]float64{m.Runtime, m.MaxATE, m.Power, m.Energy} {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
@@ -67,81 +53,40 @@ func Encode(key string, m hypermapper.Metrics) []byte {
 	if m.LowFidelity {
 		flags |= flagLowFidelity
 	}
-	buf = append(buf, flags)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return frame.Seal(key, append(buf, flags))
 }
 
-// Decode parses an evaluation record, verifying the checksum first and
-// every structural invariant after. The returned key is the one the
-// record was encoded under; callers must check it against the slot they
-// loaded from. Any error means the bytes cannot be trusted — the caller
-// should treat the file as a miss, never as an I/O fault.
+// Decode parses an evaluation record: the frame first, then the
+// payload. The returned key is the one the record was sealed under. Any
+// error means the bytes cannot be trusted — the caller should treat the
+// file as a miss, never as an I/O fault.
 func Decode(data []byte) (key string, m hypermapper.Metrics, err error) {
-	if len(data) < len(formatMagic)+4+4+checksumSize {
-		return "", m, fmt.Errorf("evalstore: record truncated (%d bytes)", len(data))
-	}
-	body, tail := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	sum := sha256.Sum256(body)
-	if subtle.ConstantTimeCompare(sum[:], tail) != 1 {
-		return "", m, fmt.Errorf("evalstore: record checksum mismatch")
-	}
-	off := 0
-	take := func(n int) ([]byte, error) {
-		if off+n > len(body) {
-			return nil, fmt.Errorf("evalstore: record truncated at offset %d", off)
-		}
-		b := body[off : off+n]
-		off += n
-		return b, nil
-	}
-	magic, err := take(len(formatMagic))
-	if err != nil || string(magic) != formatMagic {
-		return "", m, fmt.Errorf("evalstore: bad record magic")
-	}
-	vb, err := take(4)
+	key, payload, err := frame.Open(data)
 	if err != nil {
 		return "", m, err
 	}
-	if v := binary.LittleEndian.Uint32(vb); v != formatVersion {
-		return "", m, fmt.Errorf("evalstore: record version %d, want %d", v, formatVersion)
-	}
-	kb, err := take(4)
-	if err != nil {
+	if m, err = decodeMetrics(payload); err != nil {
 		return "", m, err
 	}
-	klen := binary.LittleEndian.Uint32(kb)
-	if klen > maxKeyLen {
-		return "", m, fmt.Errorf("evalstore: implausible key length %d", klen)
+	return key, m, nil
+}
+
+// decodeMetrics parses an EVR1 payload.
+func decodeMetrics(payload []byte) (m hypermapper.Metrics, err error) {
+	if len(payload) != payloadSize {
+		return m, fmt.Errorf("evalstore: record payload is %d bytes, want %d", len(payload), payloadSize)
 	}
-	kd, err := take(int(klen))
-	if err != nil {
-		return "", m, err
+	flags := payload[payloadSize-1]
+	if flags&^(flagFailed|flagLowFidelity) != 0 {
+		return m, fmt.Errorf("evalstore: unknown record flags %#x", flags)
 	}
-	key = string(kd)
 	var vals [4]float64
 	for i := range vals {
-		b, err := take(8)
-		if err != nil {
-			return "", m, err
-		}
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
-	fb, err := take(1)
-	if err != nil {
-		return "", m, err
-	}
-	if off != len(body) {
-		return "", m, fmt.Errorf("evalstore: %d trailing bytes after record", len(body)-off)
-	}
-	flags := fb[0]
-	if flags&^(flagFailed|flagLowFidelity) != 0 {
-		return "", m, fmt.Errorf("evalstore: unknown record flags %#x", flags)
-	}
-	m = hypermapper.Metrics{
+	return hypermapper.Metrics{
 		Runtime: vals[0], MaxATE: vals[1], Power: vals[2], Energy: vals[3],
 		Failed:      flags&flagFailed != 0,
 		LowFidelity: flags&flagLowFidelity != 0,
-	}
-	return key, m, nil
+	}, nil
 }

@@ -498,17 +498,14 @@ func constrainedAcquisition(opt []float64, unc, bestFeasible float64, cfg Optimi
 
 // acquisition scores an optimistic objective estimate against the
 // (predicted) front for ≥3 objectives by dominance counting, with a
-// small uncertainty bonus. The 2-objective hypervolume-gain criterion
-// lives in hv2DScorer, which the pick loop drives directly so the
-// front is sorted once per pick instead of once per candidate.
+// small uncertainty bonus; without a front or reference point it is the
+// uncertainty alone. The 2-objective hypervolume-gain criterion lives
+// in hv2DScorer, which the pick loop drives directly (never reaching
+// here with a front and reference point) so the front is sorted once
+// per pick instead of once per candidate.
 func acquisition(opt []float64, unc float64, frontPts [][]float64, ref []float64) float64 {
 	if len(frontPts) == 0 || ref == nil {
 		return unc
-	}
-	if len(opt) == 2 {
-		var s hv2DScorer
-		s.Reset(frontPts, ref)
-		return s.Gain(opt[0], opt[1]) + 0.01*unc
 	}
 	score := 0.0
 	dominatedByAny := false

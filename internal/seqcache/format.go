@@ -1,8 +1,6 @@
 package seqcache
 
 import (
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,6 +9,7 @@ import (
 	"slamgo/internal/dataset"
 	"slamgo/internal/imgproc"
 	"slamgo/internal/math3"
+	"slamgo/internal/sharedfs"
 )
 
 // The cache artifact format. The existing ".slam" sequence format is
@@ -22,9 +21,10 @@ import (
 // serialise raw: float32 depth bits, the full 3×3 rotation matrix and
 // translation as float64 bits, nothing quantised, nothing derived.
 //
-// Layout (all little-endian):
+// An artifact is this payload sealed in the sharedfs.Frame (magic
+// "SQC1", version 1), which embeds the key and checksums everything.
+// Payload layout (all little-endian):
 //
-//	magic "SQC1" | u32 version | u32 len(key) | key
 //	u32 len(name) | name
 //	u32 width | u32 height | f64 fx fy cx cy        (intrinsics)
 //	u32 frame count
@@ -33,24 +33,17 @@ import (
 //	  [flags&1] 9×f64 rotation (row major) | 3×f64 translation
 //	  [flags&2] u32 dw | u32 dh | dw*dh × f32 depth
 //	  [flags&4] u32 rw | u32 rh | 3*rw*rh × u8 RGB
-//	sha256 of everything above (32 bytes)
 //
-// The embedded key makes a file copied or renamed to the wrong cache
-// slot unloadable as something it is not (same trick as the checkpoint
-// store's envelope); the trailing checksum catches truncation, torn
-// writes and bit rot. Decode treats *every* defect as data damage — the
-// caller maps that to a miss and re-renders, because re-rendering is
-// always safe while trusting a damaged frame never is.
+// Decoding treats *every* defect as data damage — the caller maps that
+// to a miss and re-renders, because re-rendering is always safe while
+// trusting a damaged frame never is.
+
+var frame = sharedfs.Frame{Magic: "SQC1", Version: 1}
 
 const (
-	formatMagic   = "SQC1"
-	formatVersion = 1
-
 	flagGT    = 1
 	flagDepth = 2
 	flagRGB   = 4
-
-	checksumSize = 32
 
 	// Sanity caps applied before any allocation during decode, so a
 	// corrupt length field costs an error, not an OOM.
@@ -66,9 +59,6 @@ const (
 // indistinguishable from the loser).
 func Encode(key string, seq *dataset.MemorySequence) []byte {
 	e := &encoder{}
-	e.bytes([]byte(formatMagic))
-	e.u32(formatVersion)
-	e.str(key)
 	e.str(seq.SeqName)
 	e.u32(uint32(seq.Intr.Width))
 	e.u32(uint32(seq.Intr.Height))
@@ -112,41 +102,36 @@ func Encode(key string, seq *dataset.MemorySequence) []byte {
 			e.bytes(f.RGB.Pix)
 		}
 	}
-	sum := sha256.Sum256(e.buf)
-	e.bytes(sum[:])
-	return e.buf
+	return frame.Seal(key, e.buf)
 }
 
-// Decode parses a cache artifact, verifying the checksum first and
-// every structural invariant after. The returned key is the one the
-// artifact was encoded under; callers must check it against the slot
-// they loaded from. Any error means the bytes cannot be trusted — the
-// caller should treat the file as a miss, never as an I/O fault.
+// Decode parses a cache artifact: the frame first, then every
+// structural invariant of the payload. The returned key is the one the
+// artifact was sealed under. Any error means the bytes cannot be
+// trusted — the caller should treat the file as a miss, never as an I/O
+// fault.
 func Decode(data []byte) (key string, seq *dataset.MemorySequence, err error) {
-	if len(data) < len(formatMagic)+4+checksumSize {
-		return "", nil, fmt.Errorf("seqcache: artifact truncated (%d bytes)", len(data))
+	key, payload, err := frame.Open(data)
+	if err != nil {
+		return "", nil, err
 	}
-	body, tail := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	sum := sha256.Sum256(body)
-	if subtle.ConstantTimeCompare(sum[:], tail) != 1 {
-		return "", nil, fmt.Errorf("seqcache: artifact checksum mismatch")
+	if seq, err = decodeSequence(payload); err != nil {
+		return "", nil, err
 	}
-	d := &decoder{data: body}
-	if string(d.take(len(formatMagic))) != formatMagic {
-		return "", nil, fmt.Errorf("seqcache: bad artifact magic")
-	}
-	if v := d.u32(); v != formatVersion {
-		return "", nil, fmt.Errorf("seqcache: artifact version %d, want %d", v, formatVersion)
-	}
-	key = d.str()
-	seq = &dataset.MemorySequence{SeqName: d.str()}
+	return key, seq, nil
+}
+
+// decodeSequence parses an SQC1 payload.
+func decodeSequence(payload []byte) (*dataset.MemorySequence, error) {
+	d := &decoder{data: payload}
+	seq := &dataset.MemorySequence{SeqName: d.str()}
 	seq.Intr = camera.Intrinsics{
 		Width: int(d.u32()), Height: int(d.u32()),
 		Fx: d.f64(), Fy: d.f64(), Cx: d.f64(), Cy: d.f64(),
 	}
 	n := d.u32()
 	if n > maxFrames {
-		return "", nil, fmt.Errorf("seqcache: implausible frame count %d", n)
+		return nil, fmt.Errorf("seqcache: implausible frame count %d", n)
 	}
 	if d.err == nil {
 		seq.Frames = make([]*dataset.Frame, 0, n)
@@ -168,14 +153,14 @@ func Decode(data []byte) (key string, seq *dataset.MemorySequence, err error) {
 		if flags&flagDepth != 0 {
 			w, h := d.u32(), d.u32()
 			if w > maxImageDim || h > maxImageDim {
-				return "", nil, fmt.Errorf("seqcache: implausible depth size %dx%d", w, h)
+				return nil, fmt.Errorf("seqcache: implausible depth size %dx%d", w, h)
 			}
 			f.Depth = &imgproc.DepthMap{Width: int(w), Height: int(h), Pix: d.f32s(int(w) * int(h))}
 		}
 		if flags&flagRGB != 0 {
 			w, h := d.u32(), d.u32()
 			if w > maxImageDim || h > maxImageDim {
-				return "", nil, fmt.Errorf("seqcache: implausible rgb size %dx%d", w, h)
+				return nil, fmt.Errorf("seqcache: implausible rgb size %dx%d", w, h)
 			}
 			pix := d.take(3 * int(w) * int(h))
 			f.RGB = &imgproc.RGB{Width: int(w), Height: int(h), Pix: append([]uint8(nil), pix...)}
@@ -183,12 +168,12 @@ func Decode(data []byte) (key string, seq *dataset.MemorySequence, err error) {
 		seq.Frames = append(seq.Frames, f)
 	}
 	if d.err != nil {
-		return "", nil, d.err
+		return nil, d.err
 	}
 	if d.off != len(d.data) {
-		return "", nil, fmt.Errorf("seqcache: %d trailing bytes after last frame", len(d.data)-d.off)
+		return nil, fmt.Errorf("seqcache: %d trailing bytes after last frame", len(d.data)-d.off)
 	}
-	return key, seq, nil
+	return seq, nil
 }
 
 // encoder appends little-endian primitives to a growing buffer.

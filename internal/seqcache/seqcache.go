@@ -8,18 +8,18 @@
 // processes sharing a cache directory render each distinct sequence
 // exactly once and load it everywhere else.
 //
-// The cache is the SQC1 codec (format.go) and a flat key schema —
-// `<key>.seq` — over the sharedfs compute-once Store, whose package
-// comment describes the ladder, its crash-safety contract and the
-// Inline failure policy this cache runs with: every cache failure
-// degrades to inline rendering, logged and counted in
-// Stats.Degradations, never fatal. On top of the store the cache keeps
-// an in-process per-key memory map, so concurrent Sequence calls for a
-// key single-flight and later ones reuse the materialised frames.
+// The cache is the SQC1 payload codec (format.go), sealed in the
+// sharedfs.Frame, and a flat key schema — `<key>.seq` — over the
+// sharedfs compute-once Store, whose package comment describes the
+// frame, the ladder, its crash-safety contract and the Inline failure
+// policy this cache runs with: every cache failure degrades to inline
+// rendering, logged and counted in Stats.Degradations, never fatal. On
+// top of the store the cache keeps an in-process per-key memory map, so
+// concurrent Sequence calls for a key single-flight and later ones reuse
+// the materialised frames.
 package seqcache
 
 import (
-	"fmt"
 	"sync"
 
 	"slamgo/internal/dataset"
@@ -140,11 +140,10 @@ func (c *Cache) Sequence(key string, render RenderFunc) (*dataset.MemorySequence
 	}
 	var seq *dataset.MemorySequence
 	out, err := c.store.Get(key, func(data []byte) error {
-		got, s, err := Decode(data)
-		if err == nil && got != key {
-			return fmt.Errorf("artifact is keyed %s (misfiled)", got)
+		payload, err := frame.OpenKey(key, data)
+		if err == nil {
+			seq, err = decodeSequence(payload)
 		}
-		seq = s
 		return err
 	}, func() ([]byte, error) {
 		var err error

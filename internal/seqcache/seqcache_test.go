@@ -3,6 +3,7 @@ package seqcache
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,6 +104,16 @@ func TestEncodeDecodeRoundtripBitExact(t *testing.T) {
 	}
 }
 
+// TestEncodeGoldenBytes pins the SQC1 artifact bytes of a fixed
+// sequence to a digest of the format as first released: a cache
+// directory written by any earlier build must keep loading as hits.
+func TestEncodeGoldenBytes(t *testing.T) {
+	const want = "08365511ad1100bf444223ab5bd6f2e2ff1f6d4ea4b59a0ad2c84d6ed28d6e2e"
+	if got := fmt.Sprintf("%x", sha256.Sum256(Encode("seq-golden", testSeq("golden", 4)))); got != want {
+		t.Fatalf("SQC1 bytes changed: sha256 %s, want %s", got, want)
+	}
+}
+
 func TestDecodeRejectsEveryDefect(t *testing.T) {
 	seq := testSeq("s", 3)
 	good := Encode("k", seq)
@@ -119,8 +130,8 @@ func TestDecodeRejectsEveryDefect(t *testing.T) {
 	}
 	// A version bump orphans old artifacts (checksum re-stamped so only
 	// the version check can reject it).
-	v := append([]byte{}, good[:len(good)-checksumSize]...)
-	v[len(formatMagic)]++ // first byte of the little-endian version
+	v := append([]byte{}, good[:len(good)-sha256.Size]...)
+	v[len(frame.Magic)]++ // first byte of the little-endian version
 	if _, _, err := Decode(Encode("k", seq)); err != nil {
 		t.Fatalf("control: %v", err)
 	}

@@ -2,17 +2,32 @@
 // repository shares between cooperating processes: the rendered-sequence
 // cache (internal/seqcache), the simulation-result store
 // (internal/evalstore) and the campaign checkpoint store
-// (internal/campaign). Each of those is a codec and a key schema over
-// one Store; the ladder, its policies and its crash-safety contract live
-// here, once.
+// (internal/campaign). Each of those is a payload codec and a key schema
+// over one Store; the artifact frame, the ladder, its policies and its
+// crash-safety contract live here, once.
+//
+// # The artifact frame
+//
+// Every artifact of the three stores is its codec's payload sealed in a
+// Frame (Frame.Seal), all little-endian:
+//
+//	magic | u32 version | u32 len(key) | key | payload | sha256 of all before
+//
+// The magic names the codec ("SQC1" sequences, "EVR1" evaluation
+// records, "CKPT" checkpoint artifacts, whose payload is JSON) and the
+// version its payload format. The embedded key (at most 4 KiB) makes an
+// artifact copied or renamed to the wrong slot unloadable as something
+// it is not; the trailing checksum catches truncation, torn writes and
+// bit rot in all three stores, checkpoint artifacts included.
+// Frame.OpenKey verifies the checksum, magic, version, key length and
+// key, and only then hands the payload to the codec.
 //
 // # The ladder
 //
 // Store.Get resolves a key, in order:
 //
 //  1. verified disk load — the artifact is read and handed to the
-//     caller's decode, which checks the embedded key, format version
-//     and checksum (or JSON envelope);
+//     caller's decode, which opens the frame and decodes the payload;
 //  2. lease-coordinated compute-and-publish — the worker claims the
 //     key's lease (see LeaseManager), loads once more (a peer may have
 //     published and released between the miss and the claim), and only
@@ -28,7 +43,7 @@
 //     writers — racing goroutines or racing processes — are benign: the
 //     last complete rename wins and the winner is indistinguishable from
 //     the loser.
-//   - Every artifact embeds its key and is verified on load. Any defect —
+//   - Every artifact is framed and verified on load. Any defect —
 //     absent, truncated, torn, bit-rotted, version-mismatched, misfiled —
 //     is a miss that recomputing repairs in place, never an error and
 //     never bad data.
@@ -73,7 +88,7 @@ type Config struct {
 	// Dir is the shared directory; empty means no disk: Get always
 	// computes, which is the store working as configured, not degraded.
 	Dir string
-	// Ext is the artifact file suffix (".seq", ".evr", ".json").
+	// Ext is the artifact file suffix (".seq", ".evr", ".ckp").
 	Ext string
 	// Shard, when non-nil, maps a key to the subdirectory its artifact
 	// lives in; lease files always live flat in Dir.

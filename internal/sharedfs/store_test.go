@@ -14,7 +14,7 @@ import (
 // The fault matrix of the compute-once layer, run once against Store
 // with a trivial codec: an artifact is "<key>=<value>", and decode
 // rejects anything else — the same contract the SQC1, EVR1 and
-// checkpoint-envelope codecs implement.
+// checkpoint codecs implement through Frame.
 
 func encode(key, value string) []byte { return []byte(key + "=" + value) }
 
