@@ -3,13 +3,14 @@
 test:
 	go build ./... && go test ./...
 
-# The concurrency substrate, the parallel DSE engine and the campaign
+# The concurrency substrate, the frame kernels that write shared arrays
+# inside parallel.For, the parallel DSE engine and the campaign
 # orchestrator must stay clean under the race detector. The campaign
 # package replays whole (small) campaigns many times — determinism
 # across workers plus the checkpoint/resume suite — so it needs more
 # than the default 10-minute package timeout under the race detector.
 race:
-	go test -race -timeout 30m ./internal/parallel/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
+	go test -race -timeout 30m ./internal/parallel/... ./internal/tsdf/... ./internal/kfusion/... ./internal/imgproc/... ./internal/icp/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
 
 bench:
 	go test -run '^$$' -bench . -benchmem .
